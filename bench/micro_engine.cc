@@ -7,10 +7,7 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <fstream>
 #include <new>
-#include <string>
-#include <vector>
 
 #include "src/cache/entry_table.h"
 #include "src/cache/origin_upstream.h"
@@ -18,7 +15,6 @@
 #include "src/cache/proxy_cache.h"
 #include "src/cache/reference_store.h"
 #include "src/core/simulation.h"
-#include "src/core/sweep_runner.h"
 #include "src/sim/engine.h"
 #include "src/util/str.h"
 #include "src/workload/campus.h"
@@ -303,26 +299,6 @@ void BM_TraceCompile(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceCompile);
 
-// One 11-point Alex sweep per iteration; Arg is the worker count. jobs=1
-// runs the serial path, larger args exercise the pool (wall-clock gains
-// require real cores; the determinism is asserted in tests, not here).
-void BM_ParallelSweep(benchmark::State& state) {
-  const auto jobs = static_cast<size_t>(state.range(0));
-  WorrellConfig config;
-  config.num_files = 300;
-  config.duration = Days(14);
-  config.requests_per_second = 0.1;
-  const Workload load = GenerateWorrellWorkload(config);
-  SweepRunner runner(jobs);
-  const std::vector<double> axis = LinSpace(0.0, 100.0, 11);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(runner.SweepAlexThreshold(
-        load, SimulationConfig::Optimized(PolicyConfig::Alex(0.10)), axis));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(axis.size()));
-}
-BENCHMARK(BM_ParallelSweep)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
 void BM_FullSimulationRun(benchmark::State& state) {
   WorrellConfig config;
   config.num_files = 500;
@@ -337,80 +313,7 @@ void BM_FullSimulationRun(benchmark::State& state) {
 }
 BENCHMARK(BM_FullSimulationRun);
 
-// Console reporter that additionally appends one JSON line per BM_ProxyCache*
-// run to the same --bench-json / WEBCC_BENCH_JSON stream the figure binaries
-// feed (bench_common.h), so the cache hot-path trajectory lands in the CI
-// bench artifacts alongside the sweep timings.
-class ProxyCacheJsonReporter : public benchmark::ConsoleReporter {
- public:
-  explicit ProxyCacheJsonReporter(std::string path) : path_(std::move(path)) {}
-
-  void ReportRuns(const std::vector<Run>& runs) override {
-    benchmark::ConsoleReporter::ReportRuns(runs);
-    if (path_.empty()) {
-      return;
-    }
-    std::ofstream out(path_, std::ios::app);
-    if (!out) {
-      std::fprintf(stderr, "[micro_engine: cannot append to %s]\n", path_.c_str());
-      return;
-    }
-    for (const Run& run : runs) {
-      const std::string name = run.benchmark_name();
-      if (name.rfind("BM_ProxyCache", 0) != 0 || run.error_occurred) {
-        continue;
-      }
-      const auto counter = [&run](const char* key) {
-        const auto it = run.counters.find(key);
-        return it == run.counters.end() ? 0.0 : static_cast<double>(it->second);
-      };
-      out << "{\"figure\":\"micro_engine\",\"benchmark\":\"" << name
-          << "\",\"ns_per_op\":" << run.GetAdjustedRealTime()
-          << ",\"allocs_per_op\":" << counter("allocs/op")
-          << ",\"bytes_per_op\":" << counter("bytes/op") << "}\n";
-    }
-  }
-
- private:
-  std::string path_;
-};
-
-// Resolves the JSON-lines sink the same way bench_common.h does: --bench-json
-// PATH (or --bench-json=PATH) wins over the WEBCC_BENCH_JSON environment
-// variable; empty means no emission. Consumes the flag so google-benchmark
-// does not reject it as unrecognized.
-std::string ResolveBenchJsonPath(int* argc, char** argv) {
-  std::string path;
-  if (const char* env = std::getenv("WEBCC_BENCH_JSON")) {
-    path = env;
-  }
-  int kept = 1;
-  for (int i = 1; i < *argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--bench-json=", 0) == 0) {
-      path = arg.substr(std::string("--bench-json=").size());
-      continue;
-    }
-    if (arg == "--bench-json" && i + 1 < *argc) {
-      path = argv[++i];
-      continue;
-    }
-    argv[kept++] = argv[i];
-  }
-  *argc = kept;
-  return path;
-}
-
 }  // namespace
 }  // namespace webcc
 
-int main(int argc, char** argv) {
-  const std::string json_path = webcc::ResolveBenchJsonPath(&argc, argv);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
-    return 1;
-  }
-  webcc::ProxyCacheJsonReporter reporter(json_path);
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  return 0;
-}
+BENCHMARK_MAIN();

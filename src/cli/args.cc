@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "src/util/str.h"
+#include "src/util/thread_pool.h"
 
 namespace webcc {
 
@@ -155,6 +156,44 @@ double ArgParser::GetDouble(std::string_view name, double default_value) {
   return *parsed;
 }
 
+int64_t ArgParser::GetIntInRange(std::string_view name, int64_t default_value, int64_t lo,
+                                 int64_t hi) {
+  const auto it = values_.find(name);
+  if (it == values_.end()) {
+    return default_value;
+  }
+  it->second.used = true;
+  const auto parsed = ParseInt(it->second.text);
+  if (!parsed || *parsed < lo || *parsed > hi) {
+    error_ = StrFormat("--%s must be an integer in [%lld, %lld], got '%s'", it->first.c_str(),
+                       static_cast<long long>(lo), static_cast<long long>(hi),
+                       it->second.text.c_str());
+    return default_value;
+  }
+  return *parsed;
+}
+
+double ArgParser::GetDoubleInRange(std::string_view name, double default_value, double lo,
+                                   double hi) {
+  const auto it = values_.find(name);
+  if (it == values_.end()) {
+    return default_value;
+  }
+  it->second.used = true;
+  const auto parsed = ParseDouble(it->second.text);
+  if (!parsed || !std::isfinite(*parsed) || *parsed < lo || *parsed > hi) {
+    error_ = StrFormat("--%s must be a finite number in [%.15g, %.15g], got '%s'",
+                       it->first.c_str(), lo, hi, it->second.text.c_str());
+    return default_value;
+  }
+  return *parsed;
+}
+
+size_t ArgParser::GetJobs(size_t default_value) {
+  return static_cast<size_t>(GetIntInRange("jobs", static_cast<int64_t>(default_value), 0,
+                                           static_cast<int64_t>(kMaxJobs)));
+}
+
 SimDuration ArgParser::GetDuration(std::string_view name, SimDuration default_value) {
   const auto it = values_.find(name);
   if (it == values_.end()) {
@@ -210,6 +249,20 @@ std::vector<std::string> ArgParser::UnusedFlags() const {
     }
   }
   return unused;
+}
+
+std::vector<std::string> ArgsFromArgv(int argc, char** argv) {
+  std::vector<std::string> args;
+  for (int i = 1; i < argc; ++i) {
+    std::string arg = argv[i];
+    if (arg.rfind("--", 0) == 0 && arg.find('=') == std::string::npos && i + 1 < argc &&
+        std::string_view(argv[i + 1]).rfind("--", 0) != 0) {
+      arg += '=';
+      arg += argv[++i];
+    }
+    args.push_back(std::move(arg));
+  }
+  return args;
 }
 
 }  // namespace webcc

@@ -1,4 +1,4 @@
-// Minimal command-line flag parsing for the webcc_sim driver.
+// Minimal command-line flag parsing for the webcc command-line drivers.
 //
 // Syntax: --key=value or bare --flag (boolean true). Positional arguments
 // are rejected; unknown flags are reported by the driver after it has
@@ -32,6 +32,14 @@ class ArgParser {
   std::string GetString(std::string_view name, std::string_view default_value);
   int64_t GetInt(std::string_view name, int64_t default_value);
   double GetDouble(std::string_view name, double default_value);
+  // Bounded variants: a value outside [lo, hi] (or, for doubles, NaN/inf)
+  // records an error like a malformed one, so no out-of-range value ever
+  // reaches a caller that checks ok() before acting.
+  int64_t GetIntInRange(std::string_view name, int64_t default_value, int64_t lo, int64_t hi);
+  double GetDoubleInRange(std::string_view name, double default_value, double lo, double hi);
+  // The --jobs flag every driver shares: a worker count in [0, kMaxJobs],
+  // 0 meaning auto (WEBCC_JOBS, else the hardware thread count).
+  size_t GetJobs(size_t default_value);
   bool GetBool(std::string_view name, bool default_value = false);
   // Duration with an optional unit suffix: "90s", "15m", "1.5h", "2d"; a
   // bare number means seconds. Rejects negatives, NaN/inf, junk suffixes,
@@ -63,6 +71,11 @@ class ArgParser {
   std::map<std::string, Value, std::less<>> values_;
   std::string error_;
 };
+
+// argv minus argv[0] as ArgParser input, also accepting the spaced
+// "--flag value" form: a --flag without "=" followed by a token that does
+// not start with "--" takes that token as its value.
+std::vector<std::string> ArgsFromArgv(int argc, char** argv);
 
 }  // namespace webcc
 

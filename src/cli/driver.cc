@@ -163,45 +163,53 @@ std::optional<Workload> BuildWorkload(ArgParser& args, std::ostream& err) {
 }  // namespace
 
 std::optional<PolicyConfig> ParsePolicyFlags(ArgParser& args, std::ostream& err) {
+  // Hours, percents and fractions stay finite, non-negative, and small
+  // enough that scaling them to seconds cannot overflow the timeline.
+  constexpr double kMaxKnob = 1e6;
+  const auto knob = [&args](std::string_view name, double default_value) {
+    return args.GetDoubleInRange(name, default_value, 0.0, kMaxKnob);
+  };
   const std::string kind = ToLower(args.GetString("policy", "alex"));
+  std::optional<PolicyConfig> policy;
   if (kind == "ttl") {
-    return PolicyConfig::Ttl(HoursF(args.GetDouble("ttl-hours", 48.0)));
-  }
-  if (kind == "alex") {
-    return PolicyConfig::Alex(args.GetDouble("threshold", 10.0) / 100.0);
-  }
-  if (kind == "squid") {
-    return PolicyConfig::SquidRefreshPattern(HoursF(args.GetDouble("min-hours", 1.0)),
-                                             args.GetDouble("threshold", 10.0),
-                                             HoursF(args.GetDouble("max-hours", 72.0)));
-  }
-  if (kind == "cern") {
-    return PolicyConfig::Cern(args.GetDouble("lm-fraction", 0.1),
-                              HoursF(args.GetDouble("ttl-hours", 48.0)));
-  }
-  if (kind == "adaptive") {
+    policy = PolicyConfig::Ttl(HoursF(knob("ttl-hours", 48.0)));
+  } else if (kind == "alex") {
+    policy = PolicyConfig::Alex(knob("threshold", 10.0) / 100.0);
+  } else if (kind == "squid") {
+    policy = PolicyConfig::SquidRefreshPattern(HoursF(knob("min-hours", 1.0)),
+                                               knob("threshold", 10.0),
+                                               HoursF(knob("max-hours", 72.0)));
+  } else if (kind == "cern") {
+    policy = PolicyConfig::Cern(knob("lm-fraction", 0.1), HoursF(knob("ttl-hours", 48.0)));
+  } else if (kind == "adaptive") {
     AdaptiveTunerPolicy::Options options;
-    options.target_stale_rate = args.GetDouble("target-stale", 2.0) / 100.0;
-    return PolicyConfig::Adaptive(options);
+    options.target_stale_rate = args.GetDoubleInRange("target-stale", 2.0, 0.0, 100.0) / 100.0;
+    policy = PolicyConfig::Adaptive(options);
+  } else if (kind == "invalidation") {
+    policy = PolicyConfig::Invalidation(args.GetDuration("lease", SimDuration(0)));
+  } else {
+    err << "error: unknown --policy '" << kind << "'\n";
+    return std::nullopt;
   }
-  if (kind == "invalidation") {
-    return PolicyConfig::Invalidation(args.GetDuration("lease", SimDuration(0)));
+  if (!args.ok()) {
+    err << "error: " << args.error() << "\n";
+    return std::nullopt;
   }
-  err << "error: unknown --policy '" << kind << "'\n";
-  return std::nullopt;
+  if (policy->alex_min_validity > policy->alex_max_validity) {
+    err << "error: --min-hours must not exceed --max-hours\n";
+    return std::nullopt;
+  }
+  return policy;
 }
 
 namespace {
 
 // Consumes the fault-injection flags into `config.faults`. Returns false
-// (with a one-line error) on out-of-range values.
+// (with a one-line error) on inconsistent flags; out-of-range values are
+// recorded on `args` like malformed ones.
 bool BuildFaults(ArgParser& args, SimulationConfig& config, std::ostream& err) {
   FaultConfig& faults = config.faults;
-  faults.loss_rate = args.GetDouble("loss-rate", 0.0);
-  if (faults.loss_rate < 0.0 || faults.loss_rate > 1.0) {
-    err << "error: --loss-rate must be in [0, 1]\n";
-    return false;
-  }
+  faults.loss_rate = args.GetDoubleInRange("loss-rate", 0.0, 0.0, 1.0);
   faults.seed = static_cast<uint64_t>(
       args.GetInt("fault-seed", static_cast<int64_t>(faults.seed)));
   faults.jitter_max = args.GetDuration("jitter", SimDuration(0));
@@ -242,12 +250,8 @@ bool BuildFaults(ArgParser& args, SimulationConfig& config, std::ostream& err) {
     err << "error: --recovery expects auto, trust, revalidate, or cold\n";
     return false;
   }
-  const int64_t retry_max = args.GetInt("retry-max", faults.retry.max_attempts);
-  if (retry_max < 1 || retry_max > 100) {
-    err << "error: --retry-max must be in [1, 100]\n";
-    return false;
-  }
-  faults.retry.max_attempts = static_cast<int>(retry_max);
+  faults.retry.max_attempts =
+      static_cast<int>(args.GetIntInRange("retry-max", faults.retry.max_attempts, 1, 100));
   faults.retry.timeout = args.GetDuration("retry-timeout", faults.retry.timeout);
   faults.retry.initial_backoff = args.GetDuration("retry-backoff", faults.retry.initial_backoff);
   faults.retry.full_jitter = args.GetBool("retry-jitter", faults.retry.full_jitter);
@@ -527,11 +531,7 @@ int RunCliDriver(const std::vector<std::string>& args_vec, std::ostream& out,
   }
 
   const std::string sweep = ToLower(args.GetString("sweep", ""));
-  const int64_t jobs_flag = args.GetInt("jobs", 0);
-  if (jobs_flag < 0 || jobs_flag > 4096) {
-    err << "error: --jobs must be in [0, 4096]\n";
-    return 2;
-  }
+  const size_t jobs = args.GetJobs(0);
   const std::string csv = args.GetString("csv", "");
   const bool chart = args.GetBool("chart");
   const bool analyze = args.GetBool("analyze");
@@ -607,7 +607,7 @@ int RunCliDriver(const std::vector<std::string>& args_vec, std::ostream& out,
 
   if (!sweep.empty()) {
     const auto inval = RunInvalidation(*load, config);
-    SweepRunner runner(static_cast<size_t>(jobs_flag));
+    SweepRunner runner(jobs);
     SweepSeries series;
     if (sweep == "alex") {
       series = runner.SweepAlexThreshold(*load, config, PaperThresholdPercents());
@@ -643,7 +643,7 @@ int RunCliDriver(const std::vector<std::string>& args_vec, std::ostream& out,
   }
 
   if (topo.mode == CliTopology::kFleet) {
-    return RunFleetMode(*load, config, topo, mode, static_cast<size_t>(jobs_flag), out);
+    return RunFleetMode(*load, config, topo, mode, jobs, out);
   }
   if (topo.mode == CliTopology::kHierarchy) {
     return RunHierarchyMode(*load, config, mode, out);

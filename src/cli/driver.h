@@ -25,10 +25,11 @@ class ArgParser;
 
 // Consumes the policy-selection flags (--policy plus its per-policy knobs:
 // --ttl-hours, --threshold, --min-hours/--max-hours, --lm-fraction,
-// --target-stale, --lease). Shared by webcc-sim, webcc-chaos, and
-// webcc-serve so every binary accepts the same policy grammar; returns
-// nullopt (with a one-line error) on an unknown policy, which callers map
-// to exit 2.
+// --target-stale, --lease). Shared by webcc-sim and webcc-serve so both
+// accept the same policy grammar. Every numeric knob is range-checked here,
+// before any policy constructor can see it; returns nullopt (with a
+// one-line error) on an unknown policy or a malformed, non-finite, negative
+// or oversized knob, which callers map to exit 2.
 std::optional<PolicyConfig> ParsePolicyFlags(ArgParser& args, std::ostream& err);
 
 // Executes one invocation. `args` excludes argv[0]. Returns the process

@@ -140,12 +140,8 @@ int RunServeCliDriver(const std::vector<std::string>& args_vec, std::ostream& ou
     return 2;
   }
   options.world.preload = !args.GetBool("no-preload");
-  const int64_t files = args.GetInt("files", options.world.num_files);
-  if (files < 1 || files > 10'000'000) {
-    err << "error: --files must be in [1, 10000000]\n";
-    return 2;
-  }
-  options.world.num_files = static_cast<uint32_t>(files);
+  options.world.num_files =
+      static_cast<uint32_t>(args.GetIntInRange("files", options.world.num_files, 1, 10'000'000));
   options.world.seed =
       static_cast<uint64_t>(args.GetInt("seed", static_cast<int64_t>(options.world.seed)));
   options.time_scale = args.GetDouble("time-scale", options.time_scale);
@@ -165,23 +161,14 @@ int RunServeCliDriver(const std::vector<std::string>& args_vec, std::ostream& ou
   options.workers_max = static_cast<size_t>(workers_max);
   const int64_t worker_idle_ns = args.GetWallNanos("worker-idle", 200'000'000);
   options.worker_idle_timeout_ms = std::max<int64_t>(1, worker_idle_ns / 1'000'000);
-  const int64_t queue_depth = args.GetInt("queue-depth", 64);
-  if (queue_depth < 1 || queue_depth > 1'000'000) {
-    err << "error: --queue-depth must be in [1, 1000000]\n";
-    return 2;
-  }
-  options.queue_depth = static_cast<size_t>(queue_depth);
+  options.queue_depth = static_cast<size_t>(args.GetIntInRange("queue-depth", 64, 1, 1'000'000));
   options.deadline_ns = args.GetWallNanos("deadline", options.deadline_ns);
   if (options.deadline_ns <= 0) {
     err << "error: --deadline must be > 0\n";
     return 2;
   }
-  const int64_t retry_max = args.GetInt("retry-max", options.retry.max_attempts);
-  if (retry_max < 1 || retry_max > 100) {
-    err << "error: --retry-max must be in [1, 100]\n";
-    return 2;
-  }
-  options.retry.max_attempts = static_cast<int>(retry_max);
+  options.retry.max_attempts =
+      static_cast<int>(args.GetIntInRange("retry-max", options.retry.max_attempts, 1, 100));
   options.retry.initial_backoff_ns =
       args.GetWallNanos("retry-backoff", options.retry.initial_backoff_ns);
   options.retry.max_backoff_ns =
@@ -189,12 +176,8 @@ int RunServeCliDriver(const std::vector<std::string>& args_vec, std::ostream& ou
   options.retry.full_jitter = args.GetBool("retry-jitter", options.retry.full_jitter);
   options.service_time_ns = args.GetWallNanos("service-time", options.service_time_ns);
   options.fail_timeout_ns = args.GetWallNanos("fail-timeout", options.fail_timeout_ns);
-  const int64_t breaker_threshold = args.GetInt("breaker-threshold", 5);
-  if (breaker_threshold < 1 || breaker_threshold > 1'000'000) {
-    err << "error: --breaker-threshold must be in [1, 1000000]\n";
-    return 2;
-  }
-  options.breaker_failure_threshold = static_cast<int>(breaker_threshold);
+  options.breaker_failure_threshold =
+      static_cast<int>(args.GetIntInRange("breaker-threshold", 5, 1, 1'000'000));
   options.breaker_cooldown_ns = args.GetWallNanos("breaker-cooldown", options.breaker_cooldown_ns);
   if (args.Has("outage-start")) {
     options.outage_start_ns = args.GetWallNanos("outage-start", 0);

@@ -11,9 +11,9 @@
 // tests/core/sweep_runner_test.cc asserts exact equality field-by-field.
 //
 // Lock discipline: this class intentionally has no mutex-guarded members
-// (nothing here to annotate with WEBCC_GUARDED_BY). Cross-thread state is
-// two relaxed atomic counters in the .cc (merely statistics) and the pool's
-// own queue, whose members are annotated in src/util/thread_pool.h.
+// (nothing here to annotate with WEBCC_GUARDED_BY). The only cross-thread
+// state is the pool's own queue, whose members are annotated in
+// src/util/thread_pool.h.
 
 #ifndef WEBCC_SRC_CORE_SWEEP_RUNNER_H_
 #define WEBCC_SRC_CORE_SWEEP_RUNNER_H_
@@ -33,14 +33,6 @@ struct SweepPointSpec {
   double param = 0.0;
   SimulationConfig config;
 };
-
-// Cumulative execution counters, exposed so the bench harness can report
-// points/sec and replayed-events/sec without instrumenting every figure.
-struct SweepExecStats {
-  uint64_t points = 0;    // simulation runs completed
-  uint64_t requests = 0;  // workload request events replayed across them
-};
-SweepExecStats GlobalSweepExecStats();
 
 class SweepRunner {
  public:

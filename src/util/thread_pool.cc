@@ -3,9 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <utility>
+
+#include "src/util/str.h"
 
 namespace webcc {
 
@@ -247,9 +251,9 @@ size_t ResolveJobs(size_t requested) {
     return requested;
   }
   if (const char* env = std::getenv("WEBCC_JOBS")) {
-    const int parsed = std::atoi(env);
-    if (parsed > 0) {
-      return static_cast<size_t>(parsed);
+    const std::optional<int64_t> parsed = ParseInt(env);
+    if (parsed && *parsed >= 1 && static_cast<uint64_t>(*parsed) <= kMaxJobs) {
+      return static_cast<size_t>(*parsed);
     }
   }
   return HardwareJobs();

@@ -137,8 +137,11 @@ class ElasticThreadPool {
 // Number of useful concurrent jobs on this host (>= 1).
 size_t HardwareJobs();
 
+// Largest worker count any --jobs flag or WEBCC_JOBS may request.
+inline constexpr size_t kMaxJobs = 4096;
+
 // Resolves a jobs request: 0 means "auto" — the WEBCC_JOBS environment
-// variable if set to a positive integer, otherwise HardwareJobs().
+// variable if it is an integer in [1, kMaxJobs], otherwise HardwareJobs().
 size_t ResolveJobs(size_t requested);
 
 }  // namespace webcc

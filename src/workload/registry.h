@@ -2,7 +2,7 @@
 //
 // Generating a paper-scale workload is the expensive part of many runs —
 // the 56-day Worrell stream is ~1.7M requests — and chaos campaigns (and
-// bench binaries sharing one generator config) would otherwise rebuild the
+// figures sharing one generator config) would otherwise rebuild the
 // same event streams hundreds of times. The registry materializes each
 // distinct configuration once per process and hands out const references;
 // Workload addresses are stable for the process lifetime, so callers may

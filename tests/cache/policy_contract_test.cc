@@ -2,6 +2,7 @@
 // enforced uniformly via a parameterized suite over the full policy roster.
 
 #include <memory>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,11 @@ struct ContractParam {
   const char* label;
   PolicyConfig config;
 };
+
+// Names the parameter by its label, so the ctest names gtest_discover_tests
+// derives stay the same from build to build (the default printer dumps the
+// struct's raw bytes, pointer and padding included).
+void PrintTo(const ContractParam& param, std::ostream* os) { *os << param.label; }
 
 class PolicyContractTest : public ::testing::TestWithParam<ContractParam> {
  protected:

@@ -116,5 +116,33 @@ TEST(ArgParserTest, DurationRejectsOverflow) {
   EXPECT_FALSE(args.ok());
 }
 
+TEST(ArgParserTest, RangeGettersRejectOutOfRangeValues) {
+  ArgParser args({"--n=7", "--x=0.5"});
+  EXPECT_EQ(args.GetIntInRange("n", 0, 0, 10), 7);
+  EXPECT_DOUBLE_EQ(args.GetDoubleInRange("x", 0, 0, 1), 0.5);
+  EXPECT_TRUE(args.ok());
+  for (const char* text : {"11", "-1", "abc"}) {
+    ArgParser bad({std::string("--n=") + text});
+    EXPECT_EQ(bad.GetIntInRange("n", 3, 0, 10), 3) << text;
+    EXPECT_NE(bad.error().find("--n must be an integer in [0, 10]"), std::string::npos) << text;
+  }
+  for (const char* text : {"nan", "inf", "-0.5", "1.5"}) {
+    ArgParser bad({std::string("--x=") + text});
+    EXPECT_DOUBLE_EQ(bad.GetDoubleInRange("x", 0.25, 0, 1), 0.25) << text;
+    EXPECT_FALSE(bad.ok()) << text;
+  }
+}
+
+TEST(ArgParserTest, ArgsFromArgvJoinsSpacedValues) {
+  char prog[] = "prog";
+  char jobs[] = "--jobs";
+  char minus_one[] = "-1";
+  char only[] = "--only=fig2";
+  char help[] = "--help";
+  char* argv[] = {prog, jobs, minus_one, only, help};
+  EXPECT_EQ(ArgsFromArgv(5, argv),
+            (std::vector<std::string>{"--jobs=-1", "--only=fig2", "--help"}));
+}
+
 }  // namespace
 }  // namespace webcc

@@ -183,6 +183,7 @@ TEST(CliDriverTest, NumericFlagBoundsRejected) {
       {{"--workload=fas", "--capacity-bytes=-5"}, "--capacity-bytes"},
       {{"--workload=fas", "--loss-rate=1.5"}, "--loss-rate"},
       {{"--workload=fas", "--loss-rate=-0.1"}, "--loss-rate"},
+      {{"--workload=fas", "--loss-rate=nan"}, "--loss-rate"},
       {{"--workload=fas", "--retry-max=0"}, "--retry-max"},
       {{"--workload=fas", "--retry-max=101"}, "--retry-max"},
       {{"--workload=fas", "--recovery=sideways"}, "--recovery"},
@@ -190,14 +191,24 @@ TEST(CliDriverTest, NumericFlagBoundsRejected) {
       {{"--workload=fas", "--policy=invalidation", "--lease=-3h"}, "duration"},
       {{"--workload=fas", "--retry-timeout=abc"}, "duration"},
       {{"--workload=fas", "--downtime=5q"}, "duration"},
+      // Policy knobs are range-checked before any policy constructor's
+      // WEBCC_CHECK can abort on them.
+      {{"--workload=fas", "--policy=alex", "--threshold=-40"}, "--threshold"},
+      {{"--workload=fas", "--policy=alex", "--threshold=nan"}, "--threshold"},
+      {{"--workload=fas", "--policy=ttl", "--ttl-hours=-5"}, "--ttl-hours"},
+      {{"--workload=fas", "--policy=ttl", "--ttl-hours=nan"}, "--ttl-hours"},
+      {{"--workload=fas", "--policy=ttl", "--ttl-hours=1e300"}, "--ttl-hours"},  // overflows
+      {{"--workload=fas", "--policy=cern", "--lm-fraction=-1"}, "--lm-fraction"},
+      {{"--workload=fas", "--policy=squid", "--min-hours=5", "--max-hours=1"}, "--min-hours"},
+      {{"--workload=fas", "--policy=adaptive", "--target-stale=-3"}, "--target-stale"},
   };
   for (const Case& c : cases) {
     const CliResult result = RunCli(c.args);
     EXPECT_EQ(result.code, 2) << c.args.back();
     EXPECT_NE(result.err.find(c.expect_in_err), std::string::npos)
         << c.args.back() << " -> " << result.err;
-    EXPECT_LE(std::count(result.err.begin(), result.err.end(), '\n'), 2)
-        << "diagnostic should be short: " << result.err;
+    EXPECT_EQ(std::count(result.err.begin(), result.err.end(), '\n'), 1)
+        << "diagnostic should be one line: " << result.err;
   }
 }
 

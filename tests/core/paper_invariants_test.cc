@@ -1,8 +1,9 @@
 // Integration tests asserting the PAPER'S qualitative results — the shapes
-// of Figures 2–8 — on reduced-size workloads. These are the contract the
-// bench binaries then reproduce at full scale.
+// of Figures 2–8 — on reduced-size workloads. These are the contract
+// webcc-figures then reproduces at full scale.
 
 #include <cmath>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -388,6 +389,12 @@ struct GridParam {
   double threshold_pct;
   bool base_mode;
 };
+
+// A stable, readable ctest name such as "alex20_base" (the default printer
+// dumps the struct's raw bytes, uninitialised padding included).
+void PrintTo(const GridParam& param, std::ostream* os) {
+  *os << "alex" << param.threshold_pct << (param.base_mode ? "_base" : "_optimized");
+}
 
 class ProtocolGridTest : public ::testing::TestWithParam<GridParam> {};
 

@@ -180,18 +180,6 @@ TEST(SweepRunnerTest, RunPreservesSpecOrder) {
   EXPECT_EQ(series.points[2].param, 0.0);
 }
 
-TEST(SweepRunnerTest, ExecStatsAdvance) {
-  const Workload load = TinyWorkload();
-  const auto config = SimulationConfig::Optimized(PolicyConfig::Alex(0));
-
-  const SweepExecStats before = GlobalSweepExecStats();
-  SweepRunner(2).SweepAlexThreshold(load, config, {0, 100});
-  const SweepExecStats after = GlobalSweepExecStats();
-
-  EXPECT_EQ(after.points - before.points, 2u);
-  EXPECT_EQ(after.requests - before.requests, 2u * load.requests.size());
-}
-
 TEST(SweepRunnerTest, JobsZeroResolvesToAtLeastOne) {
   SweepRunner runner(0);
   EXPECT_GE(runner.jobs(), 1u);

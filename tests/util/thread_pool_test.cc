@@ -340,8 +340,12 @@ TEST(ResolveJobsTest, ExplicitRequestWins) {
 TEST(ResolveJobsTest, AutoReadsEnvironment) {
   ASSERT_EQ(setenv("WEBCC_JOBS", "5", 1), 0);
   EXPECT_EQ(ResolveJobs(0), 5u);
-  ASSERT_EQ(setenv("WEBCC_JOBS", "not-a-number", 1), 0);
-  EXPECT_EQ(ResolveJobs(0), HardwareJobs());
+  // Junk, a trailing suffix, zero, a negative count, one past kMaxJobs and
+  // an int64 overflow are all ignored, never turned into a thread count.
+  for (const char* value : {"not-a-number", "5x", "0", "-3", "4097", "99999999999999999999"}) {
+    ASSERT_EQ(setenv("WEBCC_JOBS", value, 1), 0);
+    EXPECT_EQ(ResolveJobs(0), HardwareJobs()) << value;
+  }
   ASSERT_EQ(unsetenv("WEBCC_JOBS"), 0);
   EXPECT_EQ(ResolveJobs(0), HardwareJobs());
 }

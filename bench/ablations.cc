@@ -1,8 +1,10 @@
 // Ablations: the paper's side claims and workload assumptions, each varied
 // along the axis the paper argues about but never plots.
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <unordered_map>
 
@@ -13,6 +15,7 @@
 #include "src/cache/snapshot.h"
 #include "src/core/fleet.h"
 #include "src/core/hierarchy.h"
+#include "src/core/replay.h"
 #include "src/util/check.h"
 #include "src/util/rng.h"
 #include "src/util/str.h"
@@ -89,26 +92,23 @@ Workload BuildMixWorkload(double cgi_share, uint64_t seed) {
   return load;
 }
 
-// An origin server holding every object of `load` at its initial age.
-void CreateObjects(const Workload& load, OriginServer& server) {
-  for (const ObjectSpec& spec : load.objects) {
-    server.store().Create(spec.name, spec.type, spec.size_bytes,
-                          SimTime::Epoch() - spec.initial_age);
-  }
+// Replays `requests` and `modifications` through a world of `server` and
+// its one `cache`.
+void ReplayOneCache(OriginServer& server, ProxyCache& cache,
+                    std::span<const RequestEvent> requests,
+                    std::span<const ModificationEvent> modifications) {
+  Replay({.server = &server,
+          .caches = {{.cache = &cache}},
+          .requests = requests,
+          .modifications = modifications});
 }
 
-// Replays `load`'s requests through `cache`, applying each modification to
-// `server` just before the first request at or after it.
-void ReplayInOrder(const Workload& load, OriginServer& server, ProxyCache& cache) {
-  size_t mod_i = 0;
-  for (const RequestEvent& req : load.requests) {
-    while (mod_i < load.modifications.size() && load.modifications[mod_i].at <= req.at) {
-      const ModificationEvent& m = load.modifications[mod_i];
-      server.ModifyObject(m.object_index, m.at, m.new_size);
-      ++mod_i;
-    }
-    cache.HandleRequest(static_cast<ObjectId>(req.object_index), req.at);
-  }
+// The prefix of `load`'s modifications at or before `t`.
+std::span<const ModificationEvent> ModificationsThrough(const Workload& load, SimTime t) {
+  const auto end = std::upper_bound(
+      load.modifications.begin(), load.modifications.end(), t,
+      [](SimTime at, const ModificationEvent& m) { return at < m.at; });
+  return {load.modifications.begin(), end};
 }
 
 struct WireRun {
@@ -120,11 +120,11 @@ struct WireRun {
 
 WireRun RunBothAccountings(const Workload& load, PolicyConfig policy) {
   OriginServer server;
-  CreateObjects(load, server);
+  CreateWorkloadObjects(load, server);
   HttpFrontend frontend(&server);
   HttpUpstream upstream(&frontend);
   ProxyCache cache("wire", &upstream, MakePolicy(policy), CacheConfig{}, &server.store());
-  ReplayInOrder(load, server, cache);
+  ReplayOneCache(server, cache, load.requests, load.modifications);
   WireRun run;
   run.cache = cache.stats();
   run.model_bytes = cache.stats().LinkBytes();  // 43-byte model
@@ -135,25 +135,14 @@ WireRun RunBothAccountings(const Workload& load, PolicyConfig policy) {
 
 // One restartable cache+origin session for the restart ablation.
 struct Session {
+  Session(const Workload& load, PolicyConfig policy)
+      : cache("restartable", &upstream, MakePolicy(policy), CacheConfig{}, &server.store()) {
+    CreateWorkloadObjects(load, server);
+  }
+
   OriginServer server;
-  std::unique_ptr<OriginUpstream> upstream;
-  std::unique_ptr<ProxyCache> cache;
-
-  Session(const Workload& load, PolicyConfig policy) {
-    CreateObjects(load, server);
-    upstream = std::make_unique<OriginUpstream>(&server);
-    cache = std::make_unique<ProxyCache>("restartable", upstream.get(), MakePolicy(policy),
-                                         CacheConfig{}, &server.store());
-  }
-
-  // Applies every modification at or before `t`, resuming from *mod_i.
-  void ApplyModificationsThrough(const Workload& load, size_t* mod_i, SimTime t) {
-    while (*mod_i < load.modifications.size() && load.modifications[*mod_i].at <= t) {
-      const ModificationEvent& m = load.modifications[*mod_i];
-      server.ModifyObject(m.object_index, m.at, m.new_size);
-      ++*mod_i;
-    }
-  }
+  OriginUpstream upstream{&server};
+  ProxyCache cache;
 };
 
 }  // namespace
@@ -199,7 +188,7 @@ void AblationSelftuning(FigureContext& ctx) {
   // the policy object directly).
   const Workload& load = loads[2];
   OriginServer server;
-  CreateObjects(load, server);
+  CreateWorkloadObjects(load, server);
   OriginUpstream upstream(&server);
   AdaptiveTunerPolicy::Options options;
   options.adjust_every_serves = 100;
@@ -207,7 +196,7 @@ void AblationSelftuning(FigureContext& ctx) {
   AdaptiveTunerPolicy* tuner = policy.get();
   ProxyCache cache("tuned", &upstream, std::move(policy), CacheConfig{}, &server.store());
   cache.Preload(server.store(), SimTime::Epoch());
-  ReplayInOrder(load, server, cache);
+  ReplayOneCache(server, cache, load.requests, load.modifications);
   std::printf("converged per-type thresholds on %s (started at %.0f%%):\n", load.name.c_str(),
               options.initial_threshold * 100.0);
   for (int t = 0; t < kNumFileTypes; ++t) {
@@ -484,8 +473,18 @@ void AblationFleet(FigureContext& ctx) {
 void AblationRestart(FigureContext& ctx) {
   std::printf("=== Ablation: crash/restart recovery (paper §6) ===\n\n");
   const Workload& load = ctx.Traces()[2];  // HCS
-  const size_t half = load.requests.size() / 2;
-  const SimTime restart_at = load.requests[half].at;
+  const std::span<const RequestEvent> requests = load.requests;
+  const size_t half = requests.size() / 2;
+  const SimTime restart_at = requests[half].at;
+  // Replay applies every modification in its span, so each session gets
+  // those up to its own last request; the restarted session first catches
+  // up on the ones before the restart.
+  const std::span<const ModificationEvent> first_mods =
+      ModificationsThrough(load, requests[half - 1].at);
+  const std::span<const ModificationEvent> caught_up =
+      ModificationsThrough(load, restart_at - Seconds(1));
+  const std::span<const ModificationEvent> second_mods =
+      ModificationsThrough(load, requests.back().at).subspan(caught_up.size());
 
   TextTable table;
   table.SetHeader({"Policy", "recovery", "post-restart stale", "post-restart traffic (MB)",
@@ -502,35 +501,23 @@ void AblationRestart(FigureContext& ctx) {
              {"revalidate all", SnapshotRecovery::kRevalidateAll}}) {
       // First half.
       Session first(load, policy);
-      first.cache->Preload(first.server.store(), SimTime::Epoch());
-      size_t mod_i = 0;
-      for (size_t i = 0; i < half; ++i) {
-        const RequestEvent& req = load.requests[i];
-        first.ApplyModificationsThrough(load, &mod_i, req.at);
-        first.cache->HandleRequest(static_cast<ObjectId>(req.object_index), req.at);
-      }
+      first.cache.Preload(first.server.store(), SimTime::Epoch());
+      ReplayOneCache(first.server, first.cache, requests.first(half), first_mods);
       std::stringstream snapshot;
-      SaveCacheSnapshot(*first.cache, snapshot);
+      SaveCacheSnapshot(first.cache, snapshot);
 
       // Restart: fresh cache/server session; the server's state is rebuilt
       // from the authoritative store (replaying the first half's changes),
       // but its invalidation REGISTRY starts empty — the crash erased who
-      // holds what.
+      // holds what. Its last replay resets both sides' stats before the
+      // first post-restart request.
       Session second(load, policy);
-      size_t mod_replay = 0;
-      second.ApplyModificationsThrough(load, &mod_replay, restart_at - Seconds(1));
-      const int64_t restored = LoadCacheSnapshot(*second.cache, snapshot, recovery);
+      ReplayOneCache(second.server, second.cache, {}, caught_up);
+      const int64_t restored = LoadCacheSnapshot(second.cache, snapshot, recovery);
       WEBCC_CHECK(restored >= 0);
-      second.server.ResetStats();
-      second.cache->ResetStats();
+      ReplayOneCache(second.server, second.cache, requests.subspan(half), second_mods);
 
-      for (size_t i = half; i < load.requests.size(); ++i) {
-        const RequestEvent& req = load.requests[i];
-        second.ApplyModificationsThrough(load, &mod_replay, req.at);
-        second.cache->HandleRequest(static_cast<ObjectId>(req.object_index), req.at);
-      }
-
-      const CacheStats& stats = second.cache->stats();
+      const CacheStats& stats = second.cache.stats();
       table.AddRow({policy_name, recovery_name, FormatPercent(stats.StaleRate(), 3),
                     StrFormat("%.3f", static_cast<double>(second.server.stats().TotalBytes()) / 1e6),
                     StrFormat("%llu", static_cast<unsigned long long>(

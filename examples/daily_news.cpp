@@ -15,6 +15,7 @@
 #include <cstdio>
 
 #include "src/cache/origin_upstream.h"
+#include "src/core/replay.h"
 #include "src/core/simulation.h"
 #include "src/util/rng.h"
 #include "src/util/str.h"
@@ -72,12 +73,9 @@ std::optional<SimTime> NewsExpires(const WebObject&, SimTime now) {
 }
 
 SimulationResult RunNews(const Workload& load, PolicyConfig policy, bool assert_expires) {
-  // Mirror RunSimulation, but install the Expires provider on the origin.
+  // RunSimulation's world, plus the Expires provider on the origin.
   OriginServer server;
-  for (const ObjectSpec& spec : load.objects) {
-    server.store().Create(spec.name, spec.type, spec.size_bytes,
-                          SimTime::Epoch() - spec.initial_age);
-  }
+  CreateWorkloadObjects(load, server);
   if (assert_expires) {
     server.SetExpiresProvider(NewsExpires);
   }
@@ -86,17 +84,10 @@ SimulationResult RunNews(const Workload& load, PolicyConfig policy, bool assert_
   cache_config.refresh_mode = RefreshMode::kConditionalGet;
   ProxyCache cache("news-proxy", &upstream, MakePolicy(policy), cache_config, &server.store());
   cache.Preload(server.store(), SimTime::Epoch());
-  server.ResetStats();
-  cache.ResetStats();
-  size_t mod_i = 0;
-  for (const RequestEvent& req : load.requests) {
-    while (mod_i < load.modifications.size() && load.modifications[mod_i].at <= req.at) {
-      const ModificationEvent& m = load.modifications[mod_i];
-      server.ModifyObject(m.object_index, m.at, m.new_size);
-      ++mod_i;
-    }
-    cache.HandleRequest(static_cast<ObjectId>(req.object_index), req.at);
-  }
+  Replay({.server = &server,
+          .caches = {{.cache = &cache}},
+          .requests = load.requests,
+          .modifications = load.modifications});
   SimulationResult result;
   result.workload_name = load.name;
   result.policy_desc = cache.policy().Describe();

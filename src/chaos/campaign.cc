@@ -1,12 +1,12 @@
 #include "src/chaos/campaign.h"
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <utility>
 
 #include "src/chaos/shrinker.h"
+#include "src/core/replay.h"
 #include "src/core/sweep_runner.h"
 #include "src/util/check.h"
 #include "src/util/str.h"
@@ -15,20 +15,6 @@
 namespace webcc {
 
 namespace {
-
-// Mirrors simulation.cc's WorkloadHorizon: last scheduled event + 24h slack.
-// Window materialization must use the exact horizon the simulator derives or
-// the materialized schedule would differ from the one the run saw.
-SimTime EffectiveHorizon(const Workload& load) {
-  SimTime horizon = SimTime::Epoch();
-  if (!load.requests.empty()) {
-    horizon = std::max(horizon, load.requests.back().at);
-  }
-  if (!load.modifications.empty()) {
-    horizon = std::max(horizon, load.modifications.back().at);
-  }
-  return horizon + Hours(24);
-}
 
 // Resolves the spec's effective workload: the registry-shared stream (from
 // whichever source the spec selects), or a truncated copy (written to
@@ -42,8 +28,8 @@ const Workload& ResolveWorkload(const TrialSpec& spec, Workload& storage) {
   return storage;
 }
 
-// The recovery mode the snapshot restore will actually use. Mirrors
-// ResolveCrashRecovery (simulation.cc) without needing the live policy
+// The recovery mode the snapshot restore will actually use. Mirrors the
+// replay kernel's resolution (replay.cc) without needing the live policy
 // object: kAuto resolves by the DECLARED policy kind, which is faithful
 // because only the invalidation policy answers UsesServerInvalidation()
 // true and the adaptive tuner (whose answer could drift mid-run) never
@@ -228,7 +214,10 @@ void MaterializeFaultWindows(TrialSpec& spec) {
   }
   Workload storage;
   const Workload& load = ResolveWorkload(spec, storage);
-  FaultPlan plan(faults, EffectiveHorizon(load));
+  // The horizon RunSimulation's world derives, so the materialized windows
+  // are exactly the ones the run saw.
+  FaultPlan plan(faults,
+                 ReplayHorizon({.requests = load.requests, .modifications = load.modifications}));
   faults.server_downtime = plan.server_downtime();
   faults.server_mtbf = SimDuration(0);
   faults.server_mttr = SimDuration(0);

@@ -106,10 +106,9 @@ std::optional<Workload> BuildWorkload(ArgParser& args, std::ostream& err) {
   const std::string kind = ToLower(args.GetString("workload", "worrell"));
   if (kind == "worrell") {
     WorrellConfig config;
-    config.num_files = static_cast<uint32_t>(args.GetInt("files", config.num_files));
-    config.duration = Days(args.GetInt("days", 56));
-    config.requests_per_second = args.GetDouble("rps", config.requests_per_second);
-    config.seed = static_cast<uint64_t>(args.GetInt("seed", static_cast<int64_t>(config.seed)));
+    if (!ParseWorrellFlags(args, config, err)) {
+      return std::nullopt;
+    }
     return GenerateWorrellWorkload(config);
   }
   if (kind == "das" || kind == "fas" || kind == "hcs") {
@@ -200,6 +199,37 @@ std::optional<PolicyConfig> ParsePolicyFlags(ArgParser& args, std::ostream& err)
     return std::nullopt;
   }
   return policy;
+}
+
+bool ParseWorrellFlags(ArgParser& args, WorrellConfig& config, std::ostream& err) {
+  constexpr double kMaxEvents = 1e8;
+  config.num_files = static_cast<uint32_t>(
+      args.GetIntInRange("files", config.num_files, 1, 10'000'000));
+  config.duration = Days(args.GetIntInRange("days", config.duration.seconds() / 86400, 1, 36500));
+  config.requests_per_second =
+      args.GetDoubleInRange("rps", config.requests_per_second, 0.0, kMaxEvents);
+  config.seed = static_cast<uint64_t>(args.GetInt("seed", static_cast<int64_t>(config.seed)));
+  if (!args.ok()) {
+    err << "error: " << args.error() << "\n";
+    return false;
+  }
+  if (config.requests_per_second <= 0.0) {
+    err << "error: --rps must be above 0\n";
+    return false;
+  }
+  // Expected requests plus modifications; each file changes once per mean
+  // lifetime.
+  const double mean_lifetime = static_cast<double>(config.min_lifetime.seconds() +
+                                                   config.max_lifetime.seconds()) / 2.0;
+  const double events = static_cast<double>(config.duration.seconds()) *
+                        (config.requests_per_second + config.num_files / mean_lifetime);
+  if (events > kMaxEvents) {
+    err << StrFormat("error: --files, --days and --rps ask for %.3g requests and modifications; "
+                     "the most is %.0f\n",
+                     events, kMaxEvents);
+    return false;
+  }
+  return true;
 }
 
 namespace {

@@ -18,6 +18,7 @@
 
 #include "src/cache/policy_factory.h"
 #include "src/sim/fault_plan.h"
+#include "src/workload/worrell.h"
 
 namespace webcc {
 
@@ -31,6 +32,14 @@ class ArgParser;
 // one-line error) on an unknown policy or a malformed, non-finite, negative
 // or oversized knob, which callers map to exit 2.
 std::optional<PolicyConfig> ParsePolicyFlags(ArgParser& args, std::ostream& err);
+
+// Consumes the Worrell workload overrides --files, --days, --rps and --seed
+// over the defaults already in `config`. Shared by webcc-sim and webcc-gen.
+// --files must be in [1, 10000000] and --days at least 1; --rps must be
+// finite and above 0; and the run may expect at most 10^8 requests plus
+// modifications, so no accepted value allocates without bound. Returns
+// false (with a one-line error) otherwise, which callers map to exit 2.
+bool ParseWorrellFlags(ArgParser& args, WorrellConfig& config, std::ostream& err);
 
 // Executes one invocation. `args` excludes argv[0]. Returns the process
 // exit code; human-readable output goes to `out`, diagnostics to `err`.

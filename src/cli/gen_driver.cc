@@ -3,6 +3,7 @@
 #include <ostream>
 
 #include "src/cli/args.h"
+#include "src/cli/driver.h"
 #include "src/util/str.h"
 #include "src/workload/analyzer.h"
 #include "src/workload/campus.h"
@@ -72,10 +73,12 @@ int RunGenDriver(const std::vector<std::string>& args_vec, std::ostream& out,
         << FormatPercent(stats.mutable_fraction, 2) << " mutable)\n";
   } else if (profile_name == "worrell") {
     WorrellConfig config;
-    config.num_files = static_cast<uint32_t>(args.GetInt("files", 500));
-    config.duration = Days(args.GetInt("days", 14));
-    config.requests_per_second = args.GetDouble("rps", 0.1);
-    config.seed = static_cast<uint64_t>(args.GetInt("seed", static_cast<int64_t>(config.seed)));
+    config.num_files = 500;
+    config.duration = Days(14);
+    config.requests_per_second = 0.1;
+    if (!ParseWorrellFlags(args, config, err)) {
+      return 2;
+    }
     const Workload load = GenerateWorrellWorkload(config);
     trace = RenderTraceFromWorkload(load, "worrell");
     out << "generated worrell: " << load.objects.size() << " files, " << load.requests.size()

@@ -1,10 +1,8 @@
 #include "src/core/fleet.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
-#include "src/cache/origin_upstream.h"
 #include "src/core/sweep_runner.h"
 #include "src/origin/server.h"
 #include "src/util/check.h"
@@ -23,17 +21,14 @@ struct SubscriptionLevel {
 
 // Everything one member world produces; summed in member order afterwards.
 struct MemberOutcome {
-  ServerStats server;
-  CacheStats cache;
+  SimulationResult result;
   size_t final_subscriptions = 0;
   std::vector<SubscriptionLevel> sub_timeline;
-  std::string policy_desc;
-  SimulationResult full;  // kept only when config.keep_member_results
 };
 
-// Observer wrapper for faulted member worlds: forwards every hook to the
-// caller's per-member observer (if any) and records the subscription-count
-// timeline. Subscriptions only change inside request handling (preload,
+// Observer wrapper for member worlds: forwards every hook to the caller's
+// per-member observer (if any) and records the subscription-count timeline.
+// Subscriptions only change inside request handling (preload,
 // fetch-subscribe, eviction, snapshot cycles), so sampling after every
 // serve captures the exact step function.
 class MemberProbe final : public SimObserver {
@@ -74,30 +69,13 @@ class MemberProbe final : public SimObserver {
   size_t final_subscriptions_ = 0;
 };
 
-// Member `member`'s slice of the workload: every object and modification,
-// only its own requests. Filtering preserves request order, so the member's
-// replay indices (and snapshot_crash_request) count its own serves.
-Workload MemberView(const Workload& load, const FleetConfig& config, uint32_t member) {
-  Workload view;
-  view.name = StrFormat("%s/fleet-%u", load.name.c_str(), member);
-  view.objects = load.objects;
-  view.modifications = load.modifications;
-  view.horizon = load.horizon;
-  view.requests.reserve(load.requests.size() / config.num_caches + 1);
-  for (const RequestEvent& req : load.requests) {
-    if (req.client_id % config.num_caches == member) {
-      view.requests.push_back(req);
-    }
-  }
-  return view;
-}
-
-// Faulted member world: ride RunSimulation's engine path so the member
-// inherits the whole single-cache fault machinery — per-link plan (forked
-// seed + overrides), scheduled crash/restart through snapshots, queued
-// invalidation redelivery, retry/backoff.
-MemberOutcome RunFaultedFleetMember(const Workload& load, const FleetConfig& config,
-                                    uint32_t member) {
+// Replays member `member` in a private world of its own origin (so
+// subscription bookkeeping and notice fan-out are per-member and can be
+// summed) and its own cache, under its link's faults. The member serves only
+// its own requests but sees every modification, applied before its next
+// request, which leaves its view identical to a shared-server walk: origin
+// state between two of its requests can only matter at its next request.
+MemberOutcome RunFleetMember(const Workload& load, const FleetConfig& config, uint32_t member) {
   SimulationConfig sim;
   sim.policy = config.policy;
   sim.refresh_mode = config.refresh_mode;
@@ -106,79 +84,11 @@ MemberOutcome RunFaultedFleetMember(const Workload& load, const FleetConfig& con
   MemberProbe probe(config.member_observer ? config.member_observer(member) : nullptr);
   sim.observer = &probe;
 
-  SimulationResult result = RunSimulation(MemberView(load, config, member), sim);
-
   MemberOutcome out;
-  out.server = result.server;
-  out.cache = result.cache;
-  out.policy_desc = result.policy_desc;
+  out.result = RunMemberSimulation(load, sim, config.num_caches, member);
+  out.result.workload_name = StrFormat("%s/fleet-%u", load.name.c_str(), member);
   out.final_subscriptions = probe.final_subscriptions();
   out.sub_timeline = probe.TakeTimeline();
-  if (config.keep_member_results) {
-    out.full = std::move(result);
-  }
-  return out;
-}
-
-// Replays member `member`'s slice of the workload in a private world: its
-// own origin (so subscription bookkeeping and notice fan-out are per-member
-// and can be summed) and its own cache. Every modification is applied —
-// batched, in timestamp order, before the member's next request, which
-// leaves this member's view identical to the old shared-server walk: origin
-// state between two of its requests can only matter at its next request.
-MemberOutcome RunFleetMember(const Workload& load, const FleetConfig& config, uint32_t member) {
-  if (config.faults.Enabled() || config.member_observer || config.keep_member_results) {
-    // Observed or faulted members ride RunSimulation, which carries the
-    // observer hooks and builds the full per-member result; with faults
-    // disabled it takes the engine-free path internally, field-identical to
-    // the hand-rolled walk below (the armed-zero no-op property).
-    return RunFaultedFleetMember(load, config, member);
-  }
-  OriginServer server;
-  for (const ObjectSpec& spec : load.objects) {
-    server.store().Create(spec.name, spec.type, spec.size_bytes,
-                          SimTime::Epoch() - spec.initial_age);
-  }
-  OriginUpstream upstream(&server);
-  CacheConfig cache_config;
-  cache_config.refresh_mode = config.refresh_mode;
-  ProxyCache cache(StrFormat("fleet-%u", member), &upstream, MakePolicy(config.policy),
-                   cache_config, &server.store());
-  if (config.preload) {
-    cache.Preload(server.store(), SimTime::Epoch());
-  }
-  server.ResetStats();
-  cache.ResetStats();
-
-  MemberOutcome out;
-  out.policy_desc = cache.policy().Describe();
-  out.sub_timeline.push_back({SimTime::Epoch(), server.SubscriptionCount()});
-
-  size_t mod_i = 0;
-  for (const RequestEvent& req : load.requests) {
-    if (req.client_id % config.num_caches != member) {
-      continue;
-    }
-    while (mod_i < load.modifications.size() && load.modifications[mod_i].at <= req.at) {
-      const ModificationEvent& m = load.modifications[mod_i];
-      server.ModifyObject(m.object_index, m.at, m.new_size);
-      ++mod_i;
-    }
-    cache.HandleRequest(static_cast<ObjectId>(req.object_index), req.at);
-    const size_t level = server.SubscriptionCount();
-    if (level != out.sub_timeline.back().level) {
-      out.sub_timeline.push_back({req.at, level});
-    }
-  }
-  while (mod_i < load.modifications.size()) {
-    const ModificationEvent& m = load.modifications[mod_i];
-    server.ModifyObject(m.object_index, m.at, m.new_size);
-    ++mod_i;
-  }
-
-  out.server = server.stats();
-  out.cache = cache.stats();
-  out.final_subscriptions = server.SubscriptionCount();
   return out;
 }
 
@@ -270,33 +180,34 @@ FleetResult RunFleetSimulation(const Workload& load, const FleetConfig& config,
   });
 
   FleetResult result;
-  result.policy_desc = outcomes.front().policy_desc;
+  result.policy_desc = outcomes.front().result.policy_desc;
   result.num_caches = config.num_caches;
   result.modifications = load.modifications.size();
   result.members.reserve(config.num_caches);
   for (uint32_t member = 0; member < config.num_caches; ++member) {
     const MemberOutcome& out = outcomes[member];
-    AddServerStats(result.server, out.server);
-    result.requests += out.cache.requests;
-    result.stale_hits += out.cache.stale_hits;
-    result.misses += out.cache.Misses();
-    result.total_link_bytes += out.cache.LinkBytes();
+    const CacheStats& cache = out.result.cache;
+    AddServerStats(result.server, out.result.server);
+    result.requests += cache.requests;
+    result.stale_hits += cache.stale_hits;
+    result.misses += cache.Misses();
+    result.total_link_bytes += cache.LinkBytes();
     result.final_subscriptions += out.final_subscriptions;
     FleetMemberSummary summary;
     summary.member = member;
-    summary.requests = out.cache.requests;
-    summary.stale_hits = out.cache.stale_hits;
-    summary.degraded_serves = out.cache.degraded_serves;
-    summary.failed_requests = out.cache.failed_requests;
-    summary.crashes = out.cache.crashes;
-    summary.unavailable_seconds = out.cache.unavailable_seconds;
+    summary.requests = cache.requests;
+    summary.stale_hits = cache.stale_hits;
+    summary.degraded_serves = cache.degraded_serves;
+    summary.failed_requests = cache.failed_requests;
+    summary.crashes = cache.crashes;
+    summary.unavailable_seconds = cache.unavailable_seconds;
     result.members.push_back(summary);
   }
   result.peak_subscriptions = ConcurrentSubscriptionPeak(outcomes);
   if (config.keep_member_results) {
     result.member_results.reserve(config.num_caches);
     for (MemberOutcome& out : outcomes) {
-      result.member_results.push_back(std::move(out.full));
+      result.member_results.push_back(std::move(out.result));
     }
   }
   return result;

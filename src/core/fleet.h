@@ -29,14 +29,15 @@
 // concurrent peak is the honest, possibly smaller figure the old sum
 // silently over-reported.
 //
+// Each member world is RunMemberSimulation's: the replay kernel
+// (src/core/replay.h) routes only the member's requests to its one cache.
 // Faults: FleetConfig::faults generalizes the single-cache fault layer to
 // per-link schedules. Each (origin, member) link derives its own config via
 // FaultConfig::ForLink(member) — independently seeded substreams, plus any
-// member-targeted LinkFaultOverride knobs — and the member world replays
-// through RunSimulation's faulted path (engine-scheduled loss, downtime,
-// crash/restart through the snapshot machinery, invalidation redelivery).
-// With faults disabled the walk below is byte-identical to the pre-fault
-// fleet. FaultConfig::snapshot_crash_request indexes the member's OWN
+// member-targeted LinkFaultOverride knobs — and a member world with faults
+// enabled rides an engine (scheduled loss, downtime, crash/restart through
+// the snapshot machinery, invalidation redelivery); with faults disabled it
+// has none. FaultConfig::snapshot_crash_request indexes the member's OWN
 // replay slice (its i-th served request), matching the observer's
 // request_index stream for that member.
 
@@ -60,8 +61,8 @@ struct FleetConfig {
   uint32_t num_caches = 10;
   RefreshMode refresh_mode = RefreshMode::kConditionalGet;
   bool preload = true;
-  // Per-link fault schedules (src/sim/fault_plan.h). Enabled() routes every
-  // member world through the engine-based faulted replay; link overrides
+  // Per-link fault schedules (src/sim/fault_plan.h). Enabled() gives every
+  // member world an engine and its link's fault plan; link overrides
   // address members by index.
   FaultConfig faults;
   // Chaos-harness hook: returns the observer for member i's world (null for

@@ -19,8 +19,10 @@
 // never reaches either leaf — the lost-at-the-trunk-darkens-the-leaves
 // topology effect a collapsed simulation cannot show. Base (non-override)
 // knobs apply to every link: a base downtime window is the origin itself
-// going dark, a base crash schedule crashes every cache in the tree. With
-// faults disabled the replay is the original serial walk, byte-identical.
+// going dark, a base crash schedule crashes every cache in the tree. The
+// tree is one replay-kernel world (src/core/replay.h) of three caches; with
+// faults disabled it has no engine, and the leaves fetch from cache-2
+// directly.
 
 #ifndef WEBCC_SRC_CORE_HIERARCHY_H_
 #define WEBCC_SRC_CORE_HIERARCHY_H_

@@ -11,8 +11,9 @@
 //                               warm and the metrics isolate consistency
 //                               traffic)
 //
-// Replay is a deterministic merge-walk over the modification and request
-// streams — a modification at time t is visible to a request at time t.
+// Each run builds one origin-and-cache world and replays the workload
+// through it with the replay kernel (src/core/replay.h): a modification at
+// time t is visible to a request at time t.
 
 #ifndef WEBCC_SRC_CORE_SIMULATION_H_
 #define WEBCC_SRC_CORE_SIMULATION_H_
@@ -24,50 +25,12 @@
 
 #include "src/cache/policy_factory.h"
 #include "src/cache/proxy_cache.h"
-#include "src/cache/snapshot.h"
 #include "src/core/metrics.h"
+#include "src/core/replay.h"
 #include "src/sim/fault_plan.h"
 #include "src/workload/workload.h"
 
 namespace webcc {
-
-// One served request as a SimObserver sees it: the serve verdict plus a
-// copy of the cache entry's state immediately after the serve.
-struct ServeObservation {
-  uint64_t request_index = 0;  // replay index in the workload's request stream
-  ObjectId object = 0;
-  SimTime at;
-  ServeResult result;
-  bool has_entry = false;  // false when nothing is cached afterwards
-  CacheEntry entry;        // meaningful only when has_entry
-};
-
-// Model-based-checking hooks (the chaos oracle, src/chaos/). Both simulation
-// paths report every applied modification and every serve in replay order;
-// OnRunEnd fires once after trailing events drain, immediately before the
-// run's statistics are collected. Hooks may throw — the chaos oracle throws
-// OracleViolation — and the exception propagates out of RunSimulation.
-class SimObserver {
- public:
-  virtual ~SimObserver() = default;
-  // Fires once per run after preload and the stats reset, before the first
-  // workload event — the hook that lets an observer probe live world state
-  // (e.g. the server's subscription count) from later callbacks. The
-  // references stay valid until OnRunEnd returns.
-  virtual void OnRunStart(const ProxyCache& cache, const OriginServer& server) {
-    (void)cache;
-    (void)server;
-  }
-  virtual void OnModification(ObjectId object, SimTime at) {
-    (void)object;
-    (void)at;
-  }
-  virtual void OnServe(const ServeObservation& observation) { (void)observation; }
-  virtual void OnRunEnd(const ProxyCache& cache, const OriginServer& server) {
-    (void)cache;
-    (void)server;
-  }
-};
 
 struct SimulationConfig {
   PolicyConfig policy;
@@ -80,7 +43,7 @@ struct SimulationConfig {
   // transients without preloading.
   SimDuration warmup = SimDuration(0);
   // Fault injection (src/sim/fault_plan.h). When faults.Enabled() is false
-  // the replay takes the original engine-free path, byte-for-byte; when
+  // the world has no engine and the kernel's walk does no engine work; when
   // enabled, the run rides a SimEngine so loss, downtime, crash/restart, and
   // invalidation redelivery are scheduled deterministically from the seed.
   FaultConfig faults;
@@ -111,12 +74,12 @@ struct SimulationResult {
 // Replays `load` under `config`. Deterministic: equal inputs, equal outputs.
 SimulationResult RunSimulation(const Workload& load, const SimulationConfig& config);
 
-// Maps the sim-layer recovery mode onto the cache-layer snapshot modes,
-// resolving kAuto against the policy actually in use (§6: invalidation
-// recovery must be conservative). Shared by the single-cache, fleet, and
-// hierarchy faulted paths so a crash recovers identically in any topology.
-void ResolveCrashRecovery(CrashRecovery mode, const ConsistencyPolicy& policy,
-                          SnapshotRecovery* recovery, bool* cold_start);
+// One fleet member's world (src/core/fleet.h): RunSimulation serving only
+// the requests with client_id % members == member. The observer's request
+// indices, the snapshot-crash point and the horizon count only those
+// requests. Does not validate `load`; the fleet validates it once.
+SimulationResult RunMemberSimulation(const Workload& load, const SimulationConfig& config,
+                                     uint32_t members, uint32_t member);
 
 }  // namespace webcc
 

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "src/util/check.h"
+#include <utility>
 
 namespace webcc {
 
@@ -65,23 +64,5 @@ double Quantile(std::vector<double> values, double q) {
 }
 
 double Median(std::vector<double> values) { return Quantile(std::move(values), 0.5); }
-
-Histogram::Histogram(double lo, double hi, size_t buckets) : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  WEBCC_CHECK_GT(hi, lo);
-  WEBCC_CHECK_GT(buckets, 0);
-}
-
-void Histogram::Add(double x) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<int64_t>((x - lo_) / width);
-  idx = std::clamp<int64_t>(idx, 0, static_cast<int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::BucketLow(size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
 
 }  // namespace webcc

@@ -4,7 +4,6 @@
 #ifndef WEBCC_SRC_UTIL_STATS_H_
 #define WEBCC_SRC_UTIL_STATS_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -42,26 +41,6 @@ class RunningStat {
 
 // Median convenience wrapper.
 [[nodiscard]] double Median(std::vector<double> values);
-
-// A fixed-bucket histogram over [lo, hi); values outside are clamped into
-// the first/last bucket. Used for lifetime and size sanity reporting.
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t buckets);
-
-  void Add(double x);
-  [[nodiscard]] int64_t BucketCount(size_t i) const { return counts_[i]; }
-  [[nodiscard]] size_t num_buckets() const { return counts_.size(); }
-  [[nodiscard]] int64_t total() const { return total_; }
-  // Lower edge of bucket i.
-  [[nodiscard]] double BucketLow(size_t i) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<int64_t> counts_;
-  int64_t total_ = 0;
-};
 
 }  // namespace webcc
 

@@ -201,6 +201,16 @@ TEST(CliDriverTest, NumericFlagBoundsRejected) {
       {{"--workload=fas", "--policy=cern", "--lm-fraction=-1"}, "--lm-fraction"},
       {{"--workload=fas", "--policy=squid", "--min-hours=5", "--max-hours=1"}, "--min-hours"},
       {{"--workload=fas", "--policy=adaptive", "--target-stale=-3"}, "--target-stale"},
+      // Worrell overrides are checked before the generator sees them.
+      {{"--rps=-1"}, "--rps"},
+      {{"--rps=nan"}, "--rps"},
+      {{"--rps=0"}, "--rps"},
+      {{"--files=0"}, "--files"},
+      {{"--files=99999999999"}, "--files"},  // past uint32_t
+      {{"--days=-5"}, "--days"},
+      {{"--days=0"}, "--days"},
+      {{"--days=99999999999999"}, "--days"},  // overflows the timeline
+      {{"--files=50", "--days=1000", "--rps=2000"}, "--rps"},  // 1.7e11 requests
   };
   for (const Case& c : cases) {
     const CliResult result = RunCli(c.args);

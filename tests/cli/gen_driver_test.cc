@@ -1,5 +1,6 @@
 #include "src/cli/gen_driver.h"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -104,6 +105,21 @@ TEST(GenDriverTest, ErrorsDiagnosed) {
   EXPECT_EQ(RunGen({"--profile=fas", "--out=/nonexistent/dir/x"}).code, 1);
   EXPECT_EQ(RunGen({"--profile=fas", "--out=/tmp/x", "--bogus"}).code, 2);
   EXPECT_EQ(RunGen({"positional"}).code, 2);
+  // Worrell overrides exit 2 with a one-line error naming the flag.
+  for (const std::vector<std::string>& bad :
+       std::vector<std::vector<std::string>>{{"--rps=-1"},
+                                             {"--rps=nan"},
+                                             {"--files=0"},
+                                             {"--days=-3"},
+                                             {"--days=14", "--rps=1e6"}}) {
+    std::vector<std::string> args = {"--profile=worrell", "--out=/nonexistent/dir/x"};
+    args.insert(args.end(), bad.begin(), bad.end());
+    const GenResult result = RunGen(args);
+    EXPECT_EQ(result.code, 2) << bad.back();
+    const std::string flag = bad.back().substr(0, bad.back().find('='));
+    EXPECT_NE(result.err.find(flag), std::string::npos) << result.err;
+    EXPECT_EQ(std::count(result.err.begin(), result.err.end(), '\n'), 1) << result.err;
+  }
 }
 
 }  // namespace

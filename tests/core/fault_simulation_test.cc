@@ -2,6 +2,7 @@
 // no-op property, fixed-seed reproducibility, and the observable behaviours
 // of loss, downtime, and crash/restart (docs/ROBUSTNESS.md).
 
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -98,6 +99,25 @@ void ExpectIdenticalResults(const SimulationResult& a, const SimulationResult& b
   EXPECT_EQ(a.metrics.retry_wait_seconds, b.metrics.retry_wait_seconds);
 }
 
+// Records every modification and serve an observer sees, one line each, so
+// two runs' observer streams compare as a whole.
+class ServeRecorder final : public SimObserver {
+ public:
+  void OnModification(ObjectId object, SimTime at) override {
+    lines.push_back("mod " + std::to_string(object) + " " + std::to_string(at.seconds()));
+  }
+  void OnServe(const ServeObservation& o) override {
+    lines.push_back("serve " + std::to_string(o.request_index) + " " + std::to_string(o.object) +
+                    " " + std::to_string(o.at.seconds()) + " " +
+                    std::to_string(static_cast<int>(o.result.kind)) + " " +
+                    std::to_string(o.result.stale) + " " + std::to_string(o.result.link_bytes) +
+                    " " + std::to_string(o.has_entry) + " " + std::to_string(o.entry.version) +
+                    " " + std::to_string(o.entry.expires_at.seconds()));
+  }
+
+  std::vector<std::string> lines;
+};
+
 // Three objects with co-timed modification bursts (all rewritten at the same
 // instant, twice), plus a straggler. Exercises the one-RunUntil-per-burst
 // batching in the faulted merge-walk: every burst member must land before
@@ -164,6 +184,42 @@ TEST(FaultNoOpPropertyTest, ArmedZeroFaultsMatchFaultFreePathExactly) {
         const SimulationResult got = RunSimulation(*load, armed);
         SCOPED_TRACE(load->name + " / " + policy.Describe() + (base ? " / base" : " / optimized"));
         ExpectIdenticalResults(want, got);
+      }
+    }
+  }
+
+  // Configs off the paper's defaults: a cache bound to a tenth of the
+  // working set and not preloaded (tens of thousands of evictions), a
+  // seven-day warm-up, and an observer whose streams must match too.
+  const int64_t tenth = campus.TotalObjectBytes() / 10;
+  for (const PolicyConfig& policy : policies) {
+    for (const std::string row : {"capacity", "warmup", "observer"}) {
+      SimulationConfig plain = SimulationConfig::Optimized(policy);
+      ServeRecorder plain_log;
+      ServeRecorder armed_log;
+      if (row == "capacity") {
+        plain.cache_capacity_bytes = tenth;
+        plain.preload = false;
+      } else if (row == "warmup") {
+        plain.warmup = Days(7);
+      } else {
+        plain.observer = &plain_log;
+      }
+      SimulationConfig armed = plain;
+      armed.faults.armed = true;
+      if (plain.observer != nullptr) {
+        armed.observer = &armed_log;
+      }
+      const SimulationResult want = RunSimulation(campus, plain);
+      const SimulationResult got = RunSimulation(campus, armed);
+      SCOPED_TRACE(row + " / " + policy.Describe());
+      ExpectIdenticalResults(want, got);
+      EXPECT_EQ(plain_log.lines, armed_log.lines);
+      if (row == "capacity") {
+        EXPECT_GT(want.cache.evictions, 10000u);
+      }
+      if (row == "observer") {
+        EXPECT_EQ(plain_log.lines.size(), campus.requests.size() + campus.modifications.size());
       }
     }
   }

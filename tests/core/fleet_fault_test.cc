@@ -5,6 +5,8 @@
 
 #include "src/core/fleet.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "src/core/simulation.h"
@@ -70,14 +72,23 @@ void ExpectFleetsIdentical(const FleetResult& a, const FleetResult& b) {
 TEST(FleetFaultTest, ArmedAllZeroFaultsAreAFleetNoOp) {
   // Routing member worlds through the faulted engine with every knob zero
   // must be invisible, field by field, including the per-member spread.
-  for (const PolicyConfig& policy :
-       {PolicyConfig::Alex(0.2), PolicyConfig::Invalidation()}) {
-    const FleetConfig plain = MakeConfig(policy, 4);
-    FleetConfig armed = plain;
-    armed.faults.armed = true;
-    const FleetResult base = RunFleetSimulation(FaultFleetLoad(), plain);
-    const FleetResult faulted = RunFleetSimulation(FaultFleetLoad(), armed);
-    ExpectFleetsIdentical(base, faulted);
+  // Both modes honour the snapshot-crash point, each member before its own
+  // first or tenth serve (-1 is no crash).
+  for (const int64_t crash_request : {-1, 0, 9}) {
+    for (const PolicyConfig& policy :
+         {PolicyConfig::Alex(0.2), PolicyConfig::Invalidation()}) {
+      FleetConfig plain = MakeConfig(policy, 4);
+      plain.faults.snapshot_crash_request = crash_request;
+      FleetConfig armed = plain;
+      armed.faults.armed = true;
+      const FleetResult base = RunFleetSimulation(FaultFleetLoad(), plain);
+      const FleetResult faulted = RunFleetSimulation(FaultFleetLoad(), armed);
+      SCOPED_TRACE(policy.Describe() + " / crash before serve " + std::to_string(crash_request));
+      ExpectFleetsIdentical(base, faulted);
+      for (const FleetMemberSummary& member : base.members) {
+        EXPECT_EQ(member.crashes, crash_request >= 0 ? 1u : 0u) << member.member;
+      }
+    }
   }
 }
 

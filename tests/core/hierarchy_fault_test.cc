@@ -5,6 +5,8 @@
 
 #include "src/core/hierarchy.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "src/core/simulation.h"
@@ -60,15 +62,24 @@ void ExpectTreesIdentical(const HierarchyResult& a, const HierarchyResult& b) {
 }
 
 TEST(HierarchyFaultTest, ArmedAllZeroFaultsAreATreeNoOp) {
-  for (const PolicyConfig& policy :
-       {PolicyConfig::Alex(0.2), PolicyConfig::Invalidation()}) {
-    HierarchyConfig plain;
-    plain.policy = policy;
-    HierarchyConfig armed = plain;
-    armed.faults.armed = true;
-    const HierarchyResult base = RunHierarchySimulation(TreeLoad(), plain);
-    const HierarchyResult faulted = RunHierarchySimulation(TreeLoad(), armed);
-    ExpectTreesIdentical(base, faulted);
+  // -1 is no crash; the others cycle each leaf through a snapshot crash
+  // before its own first, tenth and hundredth serve.
+  for (const int64_t crash_request : {-1, 0, 9, 99}) {
+    for (const PolicyConfig& policy :
+         {PolicyConfig::Alex(0.2), PolicyConfig::Invalidation()}) {
+      HierarchyConfig plain;
+      plain.policy = policy;
+      plain.faults.snapshot_crash_request = crash_request;
+      HierarchyConfig armed = plain;
+      armed.faults.armed = true;
+      const HierarchyResult base = RunHierarchySimulation(TreeLoad(), plain);
+      const HierarchyResult faulted = RunHierarchySimulation(TreeLoad(), armed);
+      SCOPED_TRACE(policy.Describe() + " / crash before serve " + std::to_string(crash_request));
+      ExpectTreesIdentical(base, faulted);
+      const uint64_t cycles = crash_request >= 0 ? 1 : 0;
+      EXPECT_EQ(base.l1a.crashes, cycles);
+      EXPECT_EQ(base.l1b.crashes, cycles);
+    }
   }
 }
 

@@ -472,10 +472,13 @@ TEST(AnalyzeSarifTest, PathsAreRepoRelativeUris) {
 
 // --- Include-graph cache ----------------------------------------------------
 
+// Each case runs as its own ctest, possibly in parallel with the others, so
+// each gets its own cache file, named after the test.
 class AnalyzeGraphCacheTest : public ::testing::Test {
  protected:
   std::string CachePath() const {
-    return ::testing::TempDir() + "/webcc_analyze_graph_cache.txt";
+    return ::testing::TempDir() + "/webcc_analyze_graph_cache_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".txt";
   }
   void TearDown() override { std::remove(CachePath().c_str()); }
 };

@@ -94,26 +94,5 @@ TEST(QuantileTest, Interpolates) {
   EXPECT_DOUBLE_EQ(Quantile({0.0, 10.0}, 0.25), 2.5);
 }
 
-TEST(HistogramTest, CountsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.Add(0.5);   // bucket 0
-  h.Add(3.0);   // bucket 1
-  h.Add(9.9);   // bucket 4
-  h.Add(-5.0);  // clamps to bucket 0
-  h.Add(42.0);  // clamps to bucket 4
-  EXPECT_EQ(h.total(), 5);
-  EXPECT_EQ(h.BucketCount(0), 2);
-  EXPECT_EQ(h.BucketCount(1), 1);
-  EXPECT_EQ(h.BucketCount(2), 0);
-  EXPECT_EQ(h.BucketCount(4), 2);
-}
-
-TEST(HistogramTest, BucketEdges) {
-  Histogram h(10.0, 20.0, 4);
-  EXPECT_DOUBLE_EQ(h.BucketLow(0), 10.0);
-  EXPECT_DOUBLE_EQ(h.BucketLow(2), 15.0);
-  EXPECT_EQ(h.num_buckets(), 4u);
-}
-
 }  // namespace
 }  // namespace webcc

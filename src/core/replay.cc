@@ -1,6 +1,7 @@
 #include "src/core/replay.h"
 
 #include <algorithm>
+#include <numeric>
 #include <sstream>
 #include <string>
 
@@ -18,6 +19,24 @@ namespace {
 int32_t RouteOf(std::span<const int32_t> route, const RequestEvent& req) {
   const size_t n = route.size();
   return route[(n & (n - 1)) == 0 ? req.client_id & (n - 1) : req.client_id % n];
+}
+
+// Stable counting sort of `events` by object_index: `begin` gets the
+// objects + 1 group offsets, `out` each event's projection in group order.
+template <typename Event, typename Value, typename Project>
+void GroupByObject(const std::vector<Event>& events, size_t objects, Project project,
+                   std::vector<size_t>& begin, std::vector<Value>& out) {
+  begin.assign(objects + 1, 0);
+  for (const Event& event : events) {
+    WEBCC_CHECK_LT(event.object_index, objects) << "event names no object";
+    ++begin[event.object_index + 1];
+  }
+  std::partial_sum(begin.begin(), begin.end(), begin.begin());
+  out.resize(events.size());
+  std::vector<size_t> next(begin.begin(), begin.end() - 1);
+  for (const Event& event : events) {
+    out[next[event.object_index]++] = project(event);
+  }
 }
 
 // One cache of the world and the walk's state for it.
@@ -74,14 +93,18 @@ class Walk {
       }
     }
 
-    // A one-entry route sends every request to the same cache, so that
-    // loop skips the per-request routing.
-    const size_t next_mod =
-        world_.route.size() == 1 ? ServeRequests<false>() : ServeRequests<true>();
-    // Trailing modifications (after the last request) still cost
-    // invalidation traffic under the invalidation protocol.
-    if (next_mod < world_.modifications.size()) {
-      ApplyBursts(next_mod, world_.modifications.back().at);
+    if (world_.by_object != nullptr) {
+      ServeByObject(*world_.by_object);
+    } else {
+      // A one-entry route sends every request to the same cache, so that
+      // loop skips the per-request routing.
+      const size_t next_mod =
+          world_.route.size() == 1 ? ServeRequests<false>() : ServeRequests<true>();
+      // Trailing modifications (after the last request) still cost
+      // invalidation traffic under the invalidation protocol.
+      if (next_mod < world_.modifications.size()) {
+        ApplyBursts(next_mod, world_.modifications.back().at);
+      }
     }
     if (engine != nullptr) {
       // Drain trailing redelivery timers and restarts. Bounded by the
@@ -129,6 +152,38 @@ class Walk {
       Serve(states[leaf], req);
     }
     return next_mod;
+  }
+
+  // Object order (replay.h): every object's history in turn, each
+  // modification at or before a request applied first and the trailing ones
+  // last. A separable world has nothing else to do per event: no engine, no
+  // warm-up, no observer and no crash hook.
+  void ServeByObject(const ObjectIndex& index) {
+    WEBCC_CHECK(world_.engine == nullptr && world_.warmup.seconds() == 0 &&
+                world_.route.size() == 1 && world_.route[0] == 0 && states_.size() == 1 &&
+                states_[0].observer == nullptr && states_[0].snapshot_crash_request < 0 &&
+                states_[0].cache->config().capacity_bytes == 0)
+        << "object-order replay needs a separable world";
+    WEBCC_CHECK(index.objects() == world_.server->store().size() &&
+                index.requests() == world_.requests.size() &&
+                index.modifications() == world_.modifications.size())
+        << "the object index is not of this world's workload";
+    OriginServer& server = *world_.server;
+    ProxyCache& cache = *states_[0].cache;
+    for (size_t o = 0; o < index.objects(); ++o) {
+      const auto object = static_cast<ObjectId>(o);
+      const std::span<const ModificationEvent> mods = index.Modifications(o);
+      auto mod = mods.begin();
+      for (const SimTime at : index.RequestTimes(o)) {
+        for (; mod != mods.end() && mod->at <= at; ++mod) {
+          server.ModifyObject(object, mod->at, mod->new_size);
+        }
+        cache.HandleRequest(object, at);
+      }
+      for (; mod != mods.end(); ++mod) {
+        server.ModifyObject(object, mod->at, mod->new_size);
+      }
+    }
   }
 
   void ResetStats() {
@@ -238,6 +293,14 @@ class Walk {
 };
 
 }  // namespace
+
+ObjectIndex::ObjectIndex(const Workload& load) {
+  const size_t objects = load.objects.size();
+  GroupByObject(load.requests, objects, [](const RequestEvent& req) { return req.at; },
+                request_begin_, request_times_);
+  GroupByObject(load.modifications, objects, [](const ModificationEvent& m) { return m; },
+                modification_begin_, modifications_);
+}
 
 SimTime ReplayHorizon(const ReplayWorld& world) {
   WEBCC_CHECK(!world.route.empty()) << "a replay route needs at least one entry";

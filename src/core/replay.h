@@ -1,9 +1,11 @@
-// The replay kernel (paper §3). Every simulator here is one time-ordered
-// walk of a workload's modification stream against its request stream: the
-// three simulator generations differ only in configuration, and Figure 1's
+// The replay kernel (paper §3). Every simulator here is one walk of a
+// workload's modification stream against its request stream: the three
+// simulator generations differ only in configuration, and Figure 1's
 // hierarchy and the §1 fleet only in which caches a request reaches. So
 // RunSimulation, RunHierarchySimulation and each fleet member build a world
-// and hand it to Replay(), which walks it:
+// and hand it to Replay(), which walks it in one of two orders.
+//
+// Time order, the reference walk, serves any world:
 //
 //   * Each modification burst is applied before any request at the same
 //     instant: a modification at time t is visible to a request at time t.
@@ -16,10 +18,23 @@
 //     traffic) and again at the first request at or after the warm-up.
 //   * The chaos snapshot-crash hook and each leaf's observer count that
 //     leaf's own serves.
+//
+// Object order serves separable worlds only: no engine, one cache behind a
+// one-entry route, no observer, no warm-up and no crash hook, over a cache
+// whose policy keeps its state per entry and whose size is unbounded
+// (RunSimulation's positive list, simulation.h). There no object's history
+// touches another's and every statistic is a sum or maximum over objects,
+// so the walk takes the objects one at a time from an ObjectIndex. Within
+// an object it keeps time order: each modification at or before a request
+// is applied first, and the object's trailing modifications come last. It
+// makes the same ModifyObject and HandleRequest calls as the time-ordered
+// walk, with equal results, and keeps each object's cache entry, version
+// and subscription hot for its whole history.
 
 #ifndef WEBCC_SRC_CORE_REPLAY_H_
 #define WEBCC_SRC_CORE_REPLAY_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -90,6 +105,37 @@ struct ReplayCache {
   SimObserver* observer = nullptr;
 };
 
+// A workload's events grouped by object, the input of object-order replay:
+// each object's request times and its modifications, both in schedule order
+// (co-timed modifications of one object keep theirs). Built by a stable
+// counting sort in O(objects + requests + modifications). Immutable once
+// built, so a sweep grid's threads share one.
+class ObjectIndex {
+ public:
+  explicit ObjectIndex(const Workload& load);
+
+  size_t objects() const { return request_begin_.size() - 1; }
+  size_t requests() const { return request_times_.size(); }
+  size_t modifications() const { return modifications_.size(); }
+
+  std::span<const SimTime> RequestTimes(size_t object) const {
+    return std::span<const SimTime>(request_times_)
+        .subspan(request_begin_[object], request_begin_[object + 1] - request_begin_[object]);
+  }
+  std::span<const ModificationEvent> Modifications(size_t object) const {
+    return std::span<const ModificationEvent>(modifications_)
+        .subspan(modification_begin_[object],
+                 modification_begin_[object + 1] - modification_begin_[object]);
+  }
+
+ private:
+  // objects() + 1 offsets each: object o's events are [begin[o], begin[o + 1]).
+  std::vector<size_t> request_begin_;
+  std::vector<SimTime> request_times_;
+  std::vector<size_t> modification_begin_;
+  std::vector<ModificationEvent> modifications_;
+};
+
 // A route entry that sends a request to no cache.
 inline constexpr int32_t kNoLeaf = -1;
 
@@ -109,6 +155,11 @@ struct ReplayWorld {
   std::span<const ModificationEvent> modifications = {};
   // Statistics reset again at the first request at or after epoch + warmup.
   SimDuration warmup = SimDuration(0);
+  // Null walks in time order. Otherwise the index of the workload behind
+  // `requests` and `modifications`, which Replay walks in object order; the
+  // world must then be separable (the file comment), and Replay checks the
+  // part of that the world shows.
+  const ObjectIndex* by_object = nullptr;
 };
 
 // The later of the last request the world routes to a cache and its last
@@ -117,8 +168,8 @@ struct ReplayWorld {
 // world runs until it.
 SimTime ReplayHorizon(const ReplayWorld& world);
 
-// Walks `world` as the file comment describes. Deterministic: equal worlds,
-// equal walks.
+// Walks `world` in the order it asks for, as the file comment describes.
+// Deterministic: equal worlds, equal walks.
 void Replay(const ReplayWorld& world);
 
 // Creates every object of `load` on the origin at its initial age. Object

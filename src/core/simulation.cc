@@ -41,15 +41,29 @@ SimulationConfig SimulationConfig::TraceDriven(PolicyConfig policy) {
 
 namespace {
 
+bool SeparablePolicy(PolicyKind kind) {
+  switch (kind) {
+    case PolicyKind::kFixedTtl:
+    case PolicyKind::kAlex:
+    case PolicyKind::kCernHttpd:
+    case PolicyKind::kInvalidation:
+      return true;
+    case PolicyKind::kAdaptiveTuner:
+      return false;
+  }
+  return false;
+}
+
 // RunSimulation's world: one origin and one cache, serving the requests
-// `route` sends to it.
+// `route` sends to it, in object order when `by_object` is set.
 SimulationResult RunOneCache(const Workload& load, const SimulationConfig& config,
-                             std::vector<int32_t> route) {
+                             std::vector<int32_t> route, const ObjectIndex* by_object) {
   ReplayWorld world;
   world.route = std::move(route);
   world.requests = load.requests;
   world.modifications = load.modifications;
   world.warmup = config.warmup;
+  world.by_object = by_object;
 
   std::optional<SimEngine> engine;
   std::optional<FaultPlan> plan;
@@ -90,9 +104,25 @@ SimulationResult RunOneCache(const Workload& load, const SimulationConfig& confi
 
 }  // namespace
 
+bool Separable(const SimulationConfig& config) {
+  return SeparablePolicy(config.policy.kind) && !config.faults.Enabled() &&
+         config.observer == nullptr && config.warmup.seconds() == 0 &&
+         config.faults.snapshot_crash_request < 0 && config.cache_capacity_bytes == 0 &&
+         !config.policy_factory;
+}
+
 SimulationResult RunSimulation(const Workload& load, const SimulationConfig& config) {
   WEBCC_CHECK(load.Validate().empty()) << "workload failed validation";
-  return RunOneCache(load, config, {0});
+  return RunCheckedSimulation(load, nullptr, config);
+}
+
+SimulationResult RunCheckedSimulation(const Workload& load, const ObjectIndex* index,
+                                      const SimulationConfig& config) {
+  if (!Separable(config)) {
+    return RunOneCache(load, config, {0}, nullptr);
+  }
+  std::optional<ObjectIndex> own;
+  return RunOneCache(load, config, {0}, index != nullptr ? index : &own.emplace(load));
 }
 
 SimulationResult RunMemberSimulation(const Workload& load, const SimulationConfig& config,
@@ -100,7 +130,7 @@ SimulationResult RunMemberSimulation(const Workload& load, const SimulationConfi
   WEBCC_CHECK_LT(member, members);
   std::vector<int32_t> route(members, kNoLeaf);
   route[member] = 0;
-  return RunOneCache(load, config, std::move(route));
+  return RunOneCache(load, config, std::move(route), nullptr);
 }
 
 }  // namespace webcc

@@ -13,7 +13,8 @@
 //
 // Each run builds one origin-and-cache world and replays the workload
 // through it with the replay kernel (src/core/replay.h): a modification at
-// time t is visible to a request at time t.
+// time t is visible to a request at time t. A separable config (below) is
+// walked object by object, any other in time order; both give equal results.
 
 #ifndef WEBCC_SRC_CORE_SIMULATION_H_
 #define WEBCC_SRC_CORE_SIMULATION_H_
@@ -71,8 +72,25 @@ struct SimulationResult {
   ConsistencyMetrics metrics;
 };
 
-// Replays `load` under `config`. Deterministic: equal inputs, equal outputs.
+// Whether `config`'s world is separable, so the kernel may walk it object by
+// object. A positive list: faults disabled (no engine), no observer, no
+// warm-up, no snapshot-crash point, an unbounded cache, no policy_factory,
+// and a TTL, Alex, CERN or invalidation policy (with or without a lease);
+// the adaptive tuner's per-type state spans objects. A new feature is
+// non-separable until it is added here.
+bool Separable(const SimulationConfig& config);
+
+// Replays `load` under `config`. Checks `load` first, and indexes it by
+// object when `config` is separable. Deterministic: equal inputs, equal
+// outputs.
 SimulationResult RunSimulation(const Workload& load, const SimulationConfig& config);
+
+// RunSimulation for a caller that replays one workload under many configs
+// and has already checked it (SweepRunner's grids). A separable config walks
+// `index`, which must be `load`'s, or an index of its own when `index` is
+// null; any other config ignores it.
+SimulationResult RunCheckedSimulation(const Workload& load, const ObjectIndex* index,
+                                      const SimulationConfig& config);
 
 // One fleet member's world (src/core/fleet.h): RunSimulation serving only
 // the requests with client_id % members == member. The observer's request

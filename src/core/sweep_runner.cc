@@ -1,7 +1,10 @@
 #include "src/core/sweep_runner.h"
 
+#include <algorithm>
+#include <optional>
 #include <utility>
 
+#include "src/util/check.h"
 #include "src/util/thread_pool.h"
 
 namespace webcc {
@@ -72,16 +75,27 @@ std::vector<SweepSeries> SweepRunner::RunGrid(std::string label, std::string par
     out[w].param_name = param_name;
     out[w].points.resize(specs.size());
   }
+  // Each workload is checked once, and indexed by object once if some point
+  // is separable, before dispatch; the points share both read-only.
+  const bool any_separable = std::any_of(
+      specs.begin(), specs.end(), [](const SweepPointSpec& spec) { return Separable(spec.config); });
+  std::vector<std::optional<ObjectIndex>> indexes(loads.size());
+  for (size_t w = 0; w < loads.size(); ++w) {
+    WEBCC_CHECK(loads[w]->Validate().empty()) << "workload failed validation";
+    if (any_separable) {
+      indexes[w].emplace(*loads[w]);
+    }
+  }
   // Flatten (workload, point) into one grid; each task writes only its own
   // pre-sized slot, so the pool needs no synchronization on the results.
   const size_t per_load = specs.size();
   Dispatch(loads.size() * per_load, [&](size_t flat) {
     const size_t w = flat / per_load;
     const size_t p = flat % per_load;
-    const Workload& load = *loads[w];
     SweepPoint& point = out[w].points[p];
     point.param = specs[p].param;
-    point.result = RunSimulation(load, specs[p].config);
+    point.result = RunCheckedSimulation(*loads[w], indexes[w] ? &*indexes[w] : nullptr,
+                                        specs[p].config);
   });
   return out;
 }

@@ -4,8 +4,10 @@
 // Determinism argument (why jobs=N is bit-identical to jobs=1): every sweep
 // point owns its whole simulated world — RunSimulation constructs a private
 // OriginServer, ProxyCache, and policy per call and touches no global
-// mutable state — while the pre-materialized Workload is shared strictly by
-// const reference. Threads only decide *when* a point runs, never *what* it
+// mutable state — while the pre-materialized Workload, checked once per
+// grid, and its ObjectIndex, built once per grid before dispatch when some
+// point is separable (simulation.h), are shared strictly by const
+// reference. Threads only decide *when* a point runs, never *what* it
 // computes, and results are written into a slot indexed by (workload, point)
 // position, so the assembled SweepSeries is independent of completion order.
 // tests/core/sweep_runner_test.cc asserts exact equality field-by-field.

@@ -9,6 +9,7 @@
 
 #include "src/core/simulation.h"
 #include "src/workload/campus.h"
+#include "tests/core/identical_results.h"
 
 namespace webcc {
 namespace {
@@ -28,75 +29,6 @@ Workload MicroWorkload(std::vector<int64_t> request_hours = {1, 2, 12, 20}) {
   }
   load.Finalize();
   return load;
-}
-
-// Field-exact comparison across both endpoints' accounting and the derived
-// metrics. Every counter the simulator can produce is asserted, so a fault
-// path that silently perturbs ANY statistic fails loudly.
-void ExpectIdenticalResults(const SimulationResult& a, const SimulationResult& b) {
-  EXPECT_EQ(a.policy_desc, b.policy_desc);
-
-  EXPECT_EQ(a.server.get_requests, b.server.get_requests);
-  EXPECT_EQ(a.server.ims_queries, b.server.ims_queries);
-  EXPECT_EQ(a.server.ims_not_modified, b.server.ims_not_modified);
-  EXPECT_EQ(a.server.invalidations_sent, b.server.invalidations_sent);
-  EXPECT_EQ(a.server.invalidation_retries, b.server.invalidation_retries);
-  EXPECT_EQ(a.server.invalidations_lost, b.server.invalidations_lost);
-  EXPECT_EQ(a.server.invalidations_queued, b.server.invalidations_queued);
-  EXPECT_EQ(a.server.invalidations_redelivered, b.server.invalidations_redelivered);
-  EXPECT_EQ(a.server.files_transferred, b.server.files_transferred);
-  EXPECT_EQ(a.server.bytes_sent, b.server.bytes_sent);
-  EXPECT_EQ(a.server.bytes_received, b.server.bytes_received);
-
-  EXPECT_EQ(a.cache.requests, b.cache.requests);
-  EXPECT_EQ(a.cache.hits_fresh, b.cache.hits_fresh);
-  EXPECT_EQ(a.cache.hits_validated, b.cache.hits_validated);
-  EXPECT_EQ(a.cache.misses_cold, b.cache.misses_cold);
-  EXPECT_EQ(a.cache.misses_refetched, b.cache.misses_refetched);
-  EXPECT_EQ(a.cache.stale_hits, b.cache.stale_hits);
-  EXPECT_EQ(a.cache.validations_sent, b.cache.validations_sent);
-  EXPECT_EQ(a.cache.full_fetches, b.cache.full_fetches);
-  EXPECT_EQ(a.cache.invalidations_received, b.cache.invalidations_received);
-  EXPECT_EQ(a.cache.invalidations_dropped, b.cache.invalidations_dropped);
-  EXPECT_EQ(a.cache.evictions, b.cache.evictions);
-  EXPECT_EQ(a.cache.upstream_retries, b.cache.upstream_retries);
-  EXPECT_EQ(a.cache.retry_wait_seconds, b.cache.retry_wait_seconds);
-  EXPECT_EQ(a.cache.degraded_serves, b.cache.degraded_serves);
-  EXPECT_EQ(a.cache.failed_requests, b.cache.failed_requests);
-  EXPECT_EQ(a.cache.crashes, b.cache.crashes);
-  EXPECT_EQ(a.cache.unavailable_seconds, b.cache.unavailable_seconds);
-  EXPECT_EQ(a.cache.bytes_to_upstream, b.cache.bytes_to_upstream);
-  EXPECT_EQ(a.cache.bytes_from_upstream, b.cache.bytes_from_upstream);
-  EXPECT_EQ(a.cache.total_hops, b.cache.total_hops);
-  EXPECT_EQ(a.cache.max_hops, b.cache.max_hops);
-  for (size_t t = 0; t < a.cache.by_type.size(); ++t) {
-    EXPECT_EQ(a.cache.by_type[t].requests, b.cache.by_type[t].requests) << t;
-    EXPECT_EQ(a.cache.by_type[t].stale_hits, b.cache.by_type[t].stale_hits) << t;
-    EXPECT_EQ(a.cache.by_type[t].misses, b.cache.by_type[t].misses) << t;
-    EXPECT_EQ(a.cache.by_type[t].validations, b.cache.by_type[t].validations) << t;
-    EXPECT_EQ(a.cache.by_type[t].payload_bytes, b.cache.by_type[t].payload_bytes) << t;
-  }
-
-  EXPECT_EQ(a.metrics.requests, b.metrics.requests);
-  EXPECT_EQ(a.metrics.cache_misses, b.metrics.cache_misses);
-  EXPECT_EQ(a.metrics.stale_hits, b.metrics.stale_hits);
-  EXPECT_EQ(a.metrics.validations, b.metrics.validations);
-  EXPECT_EQ(a.metrics.invalidations, b.metrics.invalidations);
-  EXPECT_EQ(a.metrics.files_transferred, b.metrics.files_transferred);
-  EXPECT_EQ(a.metrics.server_operations, b.metrics.server_operations);
-  EXPECT_EQ(a.metrics.control_bytes, b.metrics.control_bytes);
-  EXPECT_EQ(a.metrics.payload_bytes, b.metrics.payload_bytes);
-  EXPECT_EQ(a.metrics.total_bytes, b.metrics.total_bytes);
-  EXPECT_DOUBLE_EQ(a.metrics.mean_round_trips, b.metrics.mean_round_trips);
-  EXPECT_EQ(a.metrics.degraded_serves, b.metrics.degraded_serves);
-  EXPECT_EQ(a.metrics.failed_requests, b.metrics.failed_requests);
-  EXPECT_EQ(a.metrics.upstream_retries, b.metrics.upstream_retries);
-  EXPECT_EQ(a.metrics.invalidations_lost, b.metrics.invalidations_lost);
-  EXPECT_EQ(a.metrics.invalidations_queued, b.metrics.invalidations_queued);
-  EXPECT_EQ(a.metrics.invalidations_redelivered, b.metrics.invalidations_redelivered);
-  EXPECT_EQ(a.metrics.cache_crashes, b.metrics.cache_crashes);
-  EXPECT_EQ(a.metrics.unavailable_seconds, b.metrics.unavailable_seconds);
-  EXPECT_EQ(a.metrics.retry_wait_seconds, b.metrics.retry_wait_seconds);
 }
 
 // Records every modification and serve an observer sees, one line each, so
@@ -188,12 +120,17 @@ TEST(FaultNoOpPropertyTest, ArmedZeroFaultsMatchFaultFreePathExactly) {
     }
   }
 
-  // Configs off the paper's defaults: a cache bound to a tenth of the
-  // working set and not preloaded (tens of thousands of evictions), a
-  // seven-day warm-up, and an observer whose streams must match too.
+  // Configs off the paper's defaults, each of which the clean path must walk
+  // in time order (simulation.h's Separable): a cache bound to a tenth of
+  // the working set and not preloaded (tens of thousands of evictions), a
+  // seven-day warm-up, an observer whose streams must match too, the
+  // adaptive tuner (per-type state), and a snapshot crash a third of the way
+  // through the requests.
   const int64_t tenth = campus.TotalObjectBytes() / 10;
+  const auto third = static_cast<int64_t>(campus.requests.size() / 3);
   for (const PolicyConfig& policy : policies) {
-    for (const std::string row : {"capacity", "warmup", "observer"}) {
+    for (const std::string row :
+         {"capacity", "warmup", "observer", "adaptive", "snapshot_crash_request"}) {
       SimulationConfig plain = SimulationConfig::Optimized(policy);
       ServeRecorder plain_log;
       ServeRecorder armed_log;
@@ -202,9 +139,17 @@ TEST(FaultNoOpPropertyTest, ArmedZeroFaultsMatchFaultFreePathExactly) {
         plain.preload = false;
       } else if (row == "warmup") {
         plain.warmup = Days(7);
-      } else {
+      } else if (row == "observer") {
         plain.observer = &plain_log;
+      } else if (row == "adaptive") {
+        if (&policy != &policies.front()) {
+          continue;  // the row replaces the policy, so one pass covers it
+        }
+        plain.policy = PolicyConfig::Adaptive();
+      } else {
+        plain.faults.snapshot_crash_request = third;
       }
+      ASSERT_FALSE(Separable(plain)) << row;
       SimulationConfig armed = plain;
       armed.faults.armed = true;
       if (plain.observer != nullptr) {
@@ -212,7 +157,7 @@ TEST(FaultNoOpPropertyTest, ArmedZeroFaultsMatchFaultFreePathExactly) {
       }
       const SimulationResult want = RunSimulation(campus, plain);
       const SimulationResult got = RunSimulation(campus, armed);
-      SCOPED_TRACE(row + " / " + policy.Describe());
+      SCOPED_TRACE(row + " / " + plain.policy.Describe());
       ExpectIdenticalResults(want, got);
       EXPECT_EQ(plain_log.lines, armed_log.lines);
       if (row == "capacity") {
@@ -220,6 +165,9 @@ TEST(FaultNoOpPropertyTest, ArmedZeroFaultsMatchFaultFreePathExactly) {
       }
       if (row == "observer") {
         EXPECT_EQ(plain_log.lines.size(), campus.requests.size() + campus.modifications.size());
+      }
+      if (row == "snapshot_crash_request") {
+        EXPECT_EQ(want.cache.crashes, 1u);
       }
     }
   }

@@ -5,6 +5,7 @@
 // the invalidation protocol's constant.
 
 #include <cstdio>
+#include <iterator>
 
 #include "bench/figures.h"
 #include "src/core/hierarchy.h"
@@ -288,31 +289,43 @@ void Fig9(FigureContext& ctx) {
        "fig9b_fault_staleness_downtime", Days(2), Hours(4)},
   };
 
+  const PolicyConfig policies[] = {PolicyConfig::Ttl(Hours(10)), PolicyConfig::Alex(0.1),
+                                   PolicyConfig::Invalidation(),
+                                   PolicyConfig::Invalidation(Hours(1))};
+  // Every (scenario, policy, loss rate) point on one grid, so the pool is
+  // never left running one point alone between series.
+  std::vector<SweepPointSpec> specs;
   for (const Scenario& scenario : scenarios) {
-    auto base = [&](PolicyConfig policy) {
-      SimulationConfig config = SimulationConfig::Optimized(policy);
-      config.faults.server_mtbf = scenario.mtbf;
-      config.faults.server_mttr = scenario.mttr;
-      return config;
+    for (const PolicyConfig& policy : policies) {
+      for (const double rate : loss_rates) {
+        SweepPointSpec& spec = specs.emplace_back();
+        spec.param = rate;
+        spec.config = SimulationConfig::Optimized(policy);
+        spec.config.faults.armed = true;
+        spec.config.faults.loss_rate = rate;
+        spec.config.faults.server_mtbf = scenario.mtbf;
+        spec.config.faults.server_mttr = scenario.mttr;
+      }
+    }
+  }
+  const SweepSeries grid = ctx.runner().Run("fig9", "loss_rate", load, specs);
+
+  for (size_t s = 0; s < std::size(scenarios); ++s) {
+    const Scenario& scenario = scenarios[s];
+    // The metrics of policies[p] at loss_rates[i] in this scenario.
+    const auto at = [&](size_t p, size_t i) -> const ConsistencyMetrics& {
+      return grid.points[(s * std::size(policies) + p) * loss_rates.size() + i].result.metrics;
     };
-    const SweepSeries ttl =
-        SweepLossRate(load, base(PolicyConfig::Ttl(Hours(10))), loss_rates, ctx.jobs());
-    const SweepSeries alex =
-        SweepLossRate(load, base(PolicyConfig::Alex(0.1)), loss_rates, ctx.jobs());
-    const SweepSeries inval =
-        SweepLossRate(load, base(PolicyConfig::Invalidation()), loss_rates, ctx.jobs());
-    const SweepSeries leased = SweepLossRate(
-        load, base(PolicyConfig::Invalidation(Hours(1))), loss_rates, ctx.jobs());
 
     TextTable table;
     table.SetTitle(scenario.title);
     table.SetHeader({"Loss %", "TTL stale%", "Alex stale%", "Inval stale%", "Inval degr%",
                      "Lease stale%", "Lease degr%", "Inval lost", "Inval redeliv"});
     for (size_t i = 0; i < loss_rates.size(); ++i) {
-      const ConsistencyMetrics& t = ttl.points[i].result.metrics;
-      const ConsistencyMetrics& a = alex.points[i].result.metrics;
-      const ConsistencyMetrics& n = inval.points[i].result.metrics;
-      const ConsistencyMetrics& l = leased.points[i].result.metrics;
+      const ConsistencyMetrics& t = at(0, i);
+      const ConsistencyMetrics& a = at(1, i);
+      const ConsistencyMetrics& n = at(2, i);
+      const ConsistencyMetrics& l = at(3, i);
       const auto pct = [](uint64_t part, uint64_t whole) {
         return StrFormat("%.3f",
                          whole == 0 ? 0.0
@@ -371,7 +384,8 @@ void Table1(FigureContext& ctx) {
   ctx.Emit(Table1Mutability(truth, PaperTable1Targets()), "table1_mutability_truth");
 
   for (size_t i = 0; i < truth.size(); ++i) {
-    const auto& profile = CampusServerProfile::AllTable1()[i];
+    // A copy: AllTable1() returns a temporary vector.
+    const CampusServerProfile profile = CampusServerProfile::AllTable1()[i];
     std::printf("%s: per-day change probability %.2f%% (paper quotes 1.8%% for HCS and the "
                 "Bestavros range 0.5-2.0%%)\n",
                 truth[i].server.c_str(),

@@ -62,6 +62,24 @@ void ProxyCache::RecordServe(CacheEntry& entry, SimTime now) {
   }
 }
 
+// Inline: HandleRequestImpl's fresh branch is the serving hot path.
+inline bool ProxyCache::BookFreshHits(CacheEntry& entry, SimTime now, uint64_t n) {
+  const bool stale = IsStale(entry);
+  stats_.hits_fresh += n;
+  auto& tc = stats_.by_type[static_cast<size_t>(entry.type)];
+  tc.requests += n;
+  if (stale) {
+    stats_.stale_hits += n;
+    tc.stale_hits += n;
+  }
+  entry.serve_count += n;
+  if (wants_feedback_) {
+    // Only HandleRequest books a feedback policy's serves, one at a time.
+    entry.serves_since_validation.push_back(now);
+  }
+  return stale;
+}
+
 void ProxyCache::InstallBody(SlotId slot, ObjectId id, int64_t body_bytes, uint64_t version,
                              SimTime last_modified, std::optional<SimTime> expires, SimTime now) {
   CacheEntry& entry = table_.entry(slot);
@@ -123,6 +141,32 @@ ServeResult ProxyCache::HandleRequest(ObjectId id, SimTime now, const CacheEntry
   return result;
 }
 
+size_t ProxyCache::ServeFreshRun(ObjectId id, std::span<const SimTime> times) {
+  WEBCC_CHECK(validity_model_ != ValidityModel::kCustom && !wants_feedback_)
+      << "a fresh run needs a time-based or valid-bit policy without serve feedback";
+  if (crashed_ || times.empty()) {
+    return 0;
+  }
+  const SlotId slot = table_.Find(id);
+  if (slot == EntryTable::kNoSlot) {
+    return 0;
+  }
+  // valid && now < expires_at, or the valid bit alone: true on a prefix of
+  // ascending times.
+  const auto n = static_cast<size_t>(
+      std::partition_point(times.begin(), times.end(),
+                           [this, slot](SimTime at) { return FreshAt(slot, at); }) -
+      times.begin());
+  if (n == 0) {
+    return 0;
+  }
+  // n touches leave the slot at the front as one does.
+  table_.TouchFront(slot);
+  stats_.requests += n;
+  BookFreshHits(table_.entry(slot), times[n - 1], n);
+  return n;
+}
+
 ServeResult ProxyCache::HandleRequestImpl(ObjectId id, SimTime now, SlotId* slot_out) {
   *slot_out = EntryTable::kNoSlot;
   ++stats_.requests;
@@ -182,21 +226,8 @@ ServeResult ProxyCache::HandleRequestImpl(ObjectId id, SimTime now, SlotId* slot
 
   if (FreshAt(slot, now)) {
     // Fresh (per policy) local serve — possibly stale in truth.
-    CacheEntry& entry = table_.entry(slot);
     result.kind = ServeKind::kHitFresh;
-    result.stale = IsStale(entry);
-    if (result.stale) {
-      ++stats_.stale_hits;
-    }
-    ++stats_.hits_fresh;
-    {
-      auto& tc = stats_.by_type[static_cast<size_t>(entry.type)];
-      ++tc.requests;
-      if (result.stale) {
-        ++tc.stale_hits;
-      }
-    }
-    RecordServe(entry, now);
+    result.stale = BookFreshHits(table_.entry(slot), now, 1);
     result.link_bytes = 0;
     result.hops = 0;
     return result;

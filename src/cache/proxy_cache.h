@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -173,6 +174,18 @@ class ProxyCache : public InvalidationSink, public Upstream {
   // any subsequent cache mutation.
   ServeResult HandleRequest(ObjectId id, SimTime now, const CacheEntry** served_entry);
 
+  // Serves the longest prefix of the ascending request `times` for `id` that
+  // the cached copy answers fresh, exactly as that many HandleRequest calls
+  // would, and returns its length: 0 when nothing is cached, the cache is
+  // crashed, or the copy is not fresh at times[0]. Object-order replay
+  // (src/core/replay.h) books each run of fresh hits between two upstream
+  // contacts through this. The caller vouches that no modification of `id`
+  // falls inside `times`, so the copy's oracle staleness is one verdict for
+  // the whole run. Checks that the policy is kTimeBased or kValidBit, so
+  // freshness only falls with time and the prefix is a binary search, and
+  // wants no serve feedback, so a run leaves no per-serve trace.
+  size_t ServeFreshRun(ObjectId id, std::span<const SimTime> times);
+
   // Installs valid copies of every object in `store` as of `now` without
   // touching the upstream link (Figures 2–5: "the cache is pre-loaded with
   // valid copies of all the files held in the primary server").
@@ -295,6 +308,10 @@ class ProxyCache : public InvalidationSink, public Upstream {
   bool IsStale(const CacheEntry& entry) const;
   // Records a local serve on the entry (count + feedback timestamps).
   void RecordServe(CacheEntry& entry, SimTime now);
+  // Books `n` fresh local serves of `entry`, the last at `now`: the hit,
+  // per-type and stale counts and the serve count. Returns the oracle's
+  // staleness verdict. Both fresh paths share it, HandleRequest with n = 1.
+  bool BookFreshHits(CacheEntry& entry, SimTime now, uint64_t n);
   // Forwards an invalidation to subscribed children.
   void ForwardInvalidation(ObjectId id, SimTime now);
 

@@ -35,21 +35,6 @@ SweepSeries SweepTtlHours(const Workload& load, const SimulationConfig& base_con
   return SweepRunner(jobs).SweepTtlHours(load, base_config, ttl_hours);
 }
 
-SweepSeries SweepLossRate(const Workload& load, const SimulationConfig& base_config,
-                          const std::vector<double>& loss_rates, size_t jobs) {
-  std::vector<SweepPointSpec> specs;
-  specs.reserve(loss_rates.size());
-  for (const double rate : loss_rates) {
-    SweepPointSpec spec;
-    spec.param = rate;
-    spec.config = base_config;
-    spec.config.faults.armed = true;
-    spec.config.faults.loss_rate = rate;
-    specs.push_back(spec);
-  }
-  return SweepRunner(jobs).Run(base_config.policy.Describe(), "loss_rate", load, specs);
-}
-
 SimulationResult RunInvalidation(const Workload& load, const SimulationConfig& base_config) {
   SimulationConfig config = base_config;
   config.policy = PolicyConfig::Invalidation();

@@ -49,12 +49,6 @@ SweepSeries SweepTtlHours(const Workload& load, const SimulationConfig& base_con
 // The invalidation protocol has no parameter; a single run.
 SimulationResult RunInvalidation(const Workload& load, const SimulationConfig& base_config);
 
-// Sweeps the fault layer's message-loss probability (values in [0, 1]) with
-// everything else — policy, downtime, seed — fixed by `base_config`. The
-// fig9 axis: how each consistency scheme degrades as delivery gets worse.
-SweepSeries SweepLossRate(const Workload& load, const SimulationConfig& base_config,
-                          const std::vector<double>& loss_rates, size_t jobs = 1);
-
 // Runs the same sweep over several workloads and averages the metrics
 // point-wise — Figure 6/7's "averages of the FAS, HCS, and DAS traces".
 SweepSeries AverageSeries(const std::vector<SweepSeries>& runs);

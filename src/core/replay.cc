@@ -157,7 +157,9 @@ class Walk {
   // Object order (replay.h): every object's history in turn, each
   // modification at or before a request applied first and the trailing ones
   // last. A separable world has nothing else to do per event: no engine, no
-  // warm-up, no observer and no crash hook.
+  // warm-up, no observer and no crash hook. The requests before an object's
+  // next modification see one origin copy, so after each HandleRequest the
+  // cache books the fresh run that follows it in one ServeFreshRun call.
   void ServeByObject(const ObjectIndex& index) {
     WEBCC_CHECK(world_.engine == nullptr && world_.warmup.seconds() == 0 &&
                 world_.route.size() == 1 && world_.route[0] == 0 && states_.size() == 1 &&
@@ -173,12 +175,26 @@ class Walk {
     for (size_t o = 0; o < index.objects(); ++o) {
       const auto object = static_cast<ObjectId>(o);
       const std::span<const ModificationEvent> mods = index.Modifications(o);
+      const std::span<const SimTime> times = index.RequestTimes(o);
       auto mod = mods.begin();
-      for (const SimTime at : index.RequestTimes(o)) {
-        for (; mod != mods.end() && mod->at <= at; ++mod) {
+      size_t next = 0;
+      while (next < times.size()) {
+        for (; mod != mods.end() && mod->at <= times[next]; ++mod) {
           server.ModifyObject(object, mod->at, mod->new_size);
         }
-        cache.HandleRequest(object, at);
+        // The segment ends at the first request at or after the next
+        // modification, which that request must see.
+        const size_t end =
+            mod == mods.end()
+                ? times.size()
+                : static_cast<size_t>(
+                      std::lower_bound(times.begin() + next, times.end(), mod->at) -
+                      times.begin());
+        while (next < end) {
+          cache.HandleRequest(object, times[next]);
+          ++next;
+          next += cache.ServeFreshRun(object, times.subspan(next, end - next));
+        }
       }
       for (; mod != mods.end(); ++mod) {
         server.ModifyObject(object, mod->at, mod->new_size);

@@ -27,9 +27,12 @@
 // so the walk takes the objects one at a time from an ObjectIndex. Within
 // an object it keeps time order: each modification at or before a request
 // is applied first, and the object's trailing modifications come last. It
-// makes the same ModifyObject and HandleRequest calls as the time-ordered
-// walk, with equal results, and keeps each object's cache entry, version
-// and subscription hot for its whole history.
+// makes the same ModifyObject calls as the time-ordered walk and keeps each
+// object's cache entry, version and subscription hot for its whole
+// history. Between two of an object's modifications nothing changes the
+// origin copy, so after each HandleRequest the walk books the run of fresh
+// hits that follows in bulk (ProxyCache::ServeFreshRun), with the results
+// of one HandleRequest per request.
 
 #ifndef WEBCC_SRC_CORE_REPLAY_H_
 #define WEBCC_SRC_CORE_REPLAY_H_
@@ -156,9 +159,9 @@ struct ReplayWorld {
   // Statistics reset again at the first request at or after epoch + warmup.
   SimDuration warmup = SimDuration(0);
   // Null walks in time order. Otherwise the index of the workload behind
-  // `requests` and `modifications`, which Replay walks in object order; the
-  // world must then be separable (the file comment), and Replay checks the
-  // part of that the world shows.
+  // `requests` and `modifications`, which Replay walks in object order,
+  // booking fresh runs in bulk; the world must then be separable (the file
+  // comment), and Replay checks the part of that the world shows.
   const ObjectIndex* by_object = nullptr;
 };
 

@@ -1,5 +1,5 @@
-// Field-exact SimulationResult comparison shared by the core suites that
-// hold two replays of one world to bit-identical output.
+// Field-exact SimulationResult and CacheStats comparisons shared by the
+// core suites that hold two replays of one world to bit-identical output.
 
 #ifndef WEBCC_TESTS_CORE_IDENTICAL_RESULTS_H_
 #define WEBCC_TESTS_CORE_IDENTICAL_RESULTS_H_
@@ -9,6 +9,38 @@
 #include "src/core/simulation.h"
 
 namespace webcc {
+
+// Field-exact comparison of one cache's accounting.
+inline void ExpectIdenticalCacheStats(const CacheStats& a, const CacheStats& b) {
+  EXPECT_EQ(a.requests, b.requests);
+  EXPECT_EQ(a.hits_fresh, b.hits_fresh);
+  EXPECT_EQ(a.hits_validated, b.hits_validated);
+  EXPECT_EQ(a.misses_cold, b.misses_cold);
+  EXPECT_EQ(a.misses_refetched, b.misses_refetched);
+  EXPECT_EQ(a.stale_hits, b.stale_hits);
+  EXPECT_EQ(a.validations_sent, b.validations_sent);
+  EXPECT_EQ(a.full_fetches, b.full_fetches);
+  EXPECT_EQ(a.invalidations_received, b.invalidations_received);
+  EXPECT_EQ(a.invalidations_dropped, b.invalidations_dropped);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.upstream_retries, b.upstream_retries);
+  EXPECT_EQ(a.retry_wait_seconds, b.retry_wait_seconds);
+  EXPECT_EQ(a.degraded_serves, b.degraded_serves);
+  EXPECT_EQ(a.failed_requests, b.failed_requests);
+  EXPECT_EQ(a.crashes, b.crashes);
+  EXPECT_EQ(a.unavailable_seconds, b.unavailable_seconds);
+  EXPECT_EQ(a.bytes_to_upstream, b.bytes_to_upstream);
+  EXPECT_EQ(a.bytes_from_upstream, b.bytes_from_upstream);
+  EXPECT_EQ(a.total_hops, b.total_hops);
+  EXPECT_EQ(a.max_hops, b.max_hops);
+  for (size_t t = 0; t < a.by_type.size(); ++t) {
+    EXPECT_EQ(a.by_type[t].requests, b.by_type[t].requests) << t;
+    EXPECT_EQ(a.by_type[t].stale_hits, b.by_type[t].stale_hits) << t;
+    EXPECT_EQ(a.by_type[t].misses, b.by_type[t].misses) << t;
+    EXPECT_EQ(a.by_type[t].validations, b.by_type[t].validations) << t;
+    EXPECT_EQ(a.by_type[t].payload_bytes, b.by_type[t].payload_bytes) << t;
+  }
+}
 
 // Field-exact comparison across both endpoints' accounting and the derived
 // metrics. Every counter the simulator can produce is asserted, so a fault
@@ -28,34 +60,7 @@ inline void ExpectIdenticalResults(const SimulationResult& a, const SimulationRe
   EXPECT_EQ(a.server.bytes_sent, b.server.bytes_sent);
   EXPECT_EQ(a.server.bytes_received, b.server.bytes_received);
 
-  EXPECT_EQ(a.cache.requests, b.cache.requests);
-  EXPECT_EQ(a.cache.hits_fresh, b.cache.hits_fresh);
-  EXPECT_EQ(a.cache.hits_validated, b.cache.hits_validated);
-  EXPECT_EQ(a.cache.misses_cold, b.cache.misses_cold);
-  EXPECT_EQ(a.cache.misses_refetched, b.cache.misses_refetched);
-  EXPECT_EQ(a.cache.stale_hits, b.cache.stale_hits);
-  EXPECT_EQ(a.cache.validations_sent, b.cache.validations_sent);
-  EXPECT_EQ(a.cache.full_fetches, b.cache.full_fetches);
-  EXPECT_EQ(a.cache.invalidations_received, b.cache.invalidations_received);
-  EXPECT_EQ(a.cache.invalidations_dropped, b.cache.invalidations_dropped);
-  EXPECT_EQ(a.cache.evictions, b.cache.evictions);
-  EXPECT_EQ(a.cache.upstream_retries, b.cache.upstream_retries);
-  EXPECT_EQ(a.cache.retry_wait_seconds, b.cache.retry_wait_seconds);
-  EXPECT_EQ(a.cache.degraded_serves, b.cache.degraded_serves);
-  EXPECT_EQ(a.cache.failed_requests, b.cache.failed_requests);
-  EXPECT_EQ(a.cache.crashes, b.cache.crashes);
-  EXPECT_EQ(a.cache.unavailable_seconds, b.cache.unavailable_seconds);
-  EXPECT_EQ(a.cache.bytes_to_upstream, b.cache.bytes_to_upstream);
-  EXPECT_EQ(a.cache.bytes_from_upstream, b.cache.bytes_from_upstream);
-  EXPECT_EQ(a.cache.total_hops, b.cache.total_hops);
-  EXPECT_EQ(a.cache.max_hops, b.cache.max_hops);
-  for (size_t t = 0; t < a.cache.by_type.size(); ++t) {
-    EXPECT_EQ(a.cache.by_type[t].requests, b.cache.by_type[t].requests) << t;
-    EXPECT_EQ(a.cache.by_type[t].stale_hits, b.cache.by_type[t].stale_hits) << t;
-    EXPECT_EQ(a.cache.by_type[t].misses, b.cache.by_type[t].misses) << t;
-    EXPECT_EQ(a.cache.by_type[t].validations, b.cache.by_type[t].validations) << t;
-    EXPECT_EQ(a.cache.by_type[t].payload_bytes, b.cache.by_type[t].payload_bytes) << t;
-  }
+  ExpectIdenticalCacheStats(a.cache, b.cache);
 
   EXPECT_EQ(a.metrics.requests, b.metrics.requests);
   EXPECT_EQ(a.metrics.cache_misses, b.metrics.cache_misses);

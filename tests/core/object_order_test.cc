@@ -2,17 +2,21 @@
 // a separable config, walked object by object, must give the time-ordered
 // walk's SimulationResult field for field. A no-op SimObserver makes any
 // config non-separable, so the same config with one attached is the
-// reference walk.
+// reference walk. Object order books each fresh run through
+// ProxyCache::ServeFreshRun, which is held to HandleRequest calls too.
 
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/cache/origin_upstream.h"
+#include "src/cache/policy_factory.h"
 #include "src/chaos/generator.h"
 #include "src/core/replay.h"
 #include "src/core/simulation.h"
 #include "src/core/sweep_runner.h"
+#include "src/origin/server.h"
 #include "src/workload/campus.h"
 #include "src/workload/registry.h"
 #include "src/workload/worrell.h"
@@ -39,6 +43,114 @@ Workload ReducedWorrell() {
   config.duration = Days(28);
   config.requests_per_second = 0.05;
   return GenerateWorrellWorkload(config);
+}
+
+// Two caches of one policy behind one origin: `bulk` books fresh runs with
+// ServeFreshRun, `twin` serves the same requests one HandleRequest at a time.
+class FreshRunTwins {
+ public:
+  explicit FreshRunTwins(const PolicyConfig& policy)
+      : upstream_(&server_),
+        bulk_("bulk", &upstream_, MakePolicy(policy), CacheConfig{}, &server_.store()),
+        twin_("twin", &upstream_, MakePolicy(policy), CacheConfig{}, &server_.store()) {}
+
+  OriginServer& server() { return server_; }
+  const ProxyCache& bulk() const { return bulk_; }
+
+  void SetReachable(bool reachable) {
+    bulk_.set_reachable(reachable);
+    twin_.set_reachable(reachable);
+  }
+
+  ServeKind HandleBoth(ObjectId id, SimTime at) {
+    const ServeKind kind = bulk_.HandleRequest(id, at).kind;
+    EXPECT_EQ(twin_.HandleRequest(id, at).kind, kind);
+    return kind;
+  }
+
+  // `bulk` books `times` as one run, `twin` serves the run's length as
+  // fresh hits, then both serve the request after the run, which must not
+  // be fresh. Returns the run's length.
+  size_t Run(ObjectId id, const std::vector<SimTime>& times) {
+    const size_t n = bulk_.ServeFreshRun(id, times);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(twin_.HandleRequest(id, times[i]).kind, ServeKind::kHitFresh) << "request " << i;
+    }
+    ExpectTwins();
+    if (n < times.size()) {
+      EXPECT_NE(HandleBoth(id, times[n]), ServeKind::kHitFresh);
+      ExpectTwins();
+    }
+    return n;
+  }
+
+ private:
+  void ExpectTwins() const {
+    ExpectIdenticalCacheStats(bulk_.stats(), twin_.stats());
+    const std::vector<CacheEntry> a = bulk_.SnapshotEntries();
+    const std::vector<CacheEntry> b = twin_.SnapshotEntries();
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].object, b[i].object) << "LRU position " << i;
+      EXPECT_EQ(a[i].serve_count, b[i].serve_count) << "LRU position " << i;
+    }
+  }
+
+  OriginServer server_;
+  OriginUpstream upstream_;
+  ProxyCache bulk_;
+  ProxyCache twin_;
+};
+
+TEST(ServeFreshRunTest, MatchesHandleRequestCalls) {
+  for (const PolicyConfig& policy :
+       {PolicyConfig::Ttl(Hours(10)), PolicyConfig::Alex(0.1), PolicyConfig::Cern(0.1, Days(2)),
+        PolicyConfig::Invalidation(), PolicyConfig::Invalidation(Hours(1))}) {
+    SCOPED_TRACE(policy.Describe());
+    FreshRunTwins twins(policy);
+    ObjectStore& store = twins.server().store();
+    const SimTime created = SimTime::Epoch() - Days(10);
+    const ObjectId page = store.Create("/a.html", FileType::kHtml, 6000, created);
+    const ObjectId image = store.Create("/b.gif", FileType::kGif, 900, created);
+    const ObjectId never = store.Create("/c.jpg", FileType::kJpg, 100, created);
+    SimTime at = At(1);
+    twins.HandleBoth(page, at);
+    twins.HandleBoth(image, at);
+
+    // Co-timed requests included; the run moves the page ahead of the image.
+    EXPECT_EQ(twins.Run(page, {at + Minutes(1), at + Minutes(2), at + Minutes(2),
+                               at + Minutes(30)}),
+              4u);
+    at += Minutes(30);
+
+    // The run's second instant is the copy's horizon, where it is no longer
+    // fresh. A lease-less invalidation copy has none.
+    const SimTime expires = twins.bulk().Find(page)->expires_at;
+    if (!expires.IsInfinite()) {
+      EXPECT_EQ(twins.Run(page, {expires - Seconds(1), expires, expires + Minutes(1)}), 1u);
+      at = expires;
+    }
+
+    // A change whose notice is lost leaves a fresh but stale copy: every
+    // serve of the run counts as a stale hit.
+    twins.SetReachable(false);
+    twins.server().ModifyObject(page, at + Minutes(1));
+    twins.SetReachable(true);
+    const CacheStats before = twins.bulk().stats();
+    const auto html = static_cast<size_t>(FileType::kHtml);
+    EXPECT_EQ(twins.Run(page, {at + Minutes(2), at + Minutes(3), at + Minutes(4)}), 3u);
+    EXPECT_EQ(twins.bulk().stats().stale_hits, before.stale_hits + 3);
+    EXPECT_EQ(twins.bulk().stats().by_type[html].stale_hits, before.by_type[html].stale_hits + 3);
+    EXPECT_EQ(twins.bulk().stats().by_type[html].requests, before.by_type[html].requests + 3);
+    at += Minutes(4);
+
+    // An invalidated copy and a missing one serve no run.
+    if (policy.kind == PolicyKind::kInvalidation) {
+      twins.server().ModifyObject(page, at + Minutes(1));
+      EXPECT_EQ(twins.Run(page, {at + Minutes(2), at + Minutes(3)}), 0u);
+    }
+    EXPECT_EQ(twins.Run(never, {at + Minutes(5), at + Minutes(6)}), 0u);
+  }
 }
 
 TEST(ObjectIndexTest, GroupsEventsByObjectInScheduleOrder) {

@@ -90,15 +90,24 @@ TEST(SweepRunnerTest, TtlSweepParallelMatchesSerialExactly) {
 TEST(SweepRunnerTest, LossRateSweepParallelMatchesSerialExactly) {
   // The fault plan is owned per sweep point, so a faulted sweep must stay
   // bit-identical across jobs counts exactly like the clean ones — including
-  // every failure-aware counter.
+  // every failure-aware counter. Fig9's shape: one grid of policy x loss
+  // rate.
   const Workload load = TinyWorkload();
-  SimulationConfig config = SimulationConfig::Optimized(PolicyConfig::Invalidation());
-  config.faults.server_downtime.push_back(
-      {SimTime::Epoch() + Days(2), SimTime::Epoch() + Days(2) + Hours(6)});
-  const std::vector<double> axis = {0, 0.05, 0.2, 0.5};
+  std::vector<SweepPointSpec> specs;
+  for (const PolicyConfig& policy : {PolicyConfig::Invalidation(), PolicyConfig::Ttl(Hours(10))}) {
+    for (const double rate : {0.0, 0.05, 0.2, 0.5}) {
+      SweepPointSpec& spec = specs.emplace_back();
+      spec.param = rate;
+      spec.config = SimulationConfig::Optimized(policy);
+      spec.config.faults.server_downtime.push_back(
+          {SimTime::Epoch() + Days(2), SimTime::Epoch() + Days(2) + Hours(6)});
+      spec.config.faults.armed = true;
+      spec.config.faults.loss_rate = rate;
+    }
+  }
 
-  ExpectSameSeries(SweepLossRate(load, config, axis, /*jobs=*/1),
-                   SweepLossRate(load, config, axis, /*jobs=*/8));
+  ExpectSameSeries(SweepRunner(1).Run("loss", "loss_rate", load, specs),
+                   SweepRunner(8).Run("loss", "loss_rate", load, specs));
 }
 
 TEST(SweepRunnerTest, MatchesFreeFunctionEntryPoints) {

@@ -1,5 +1,7 @@
 #include "src/workload/workload.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace webcc {
@@ -30,6 +32,27 @@ TEST(WorkloadTest, FinalizeSortsEvents) {
   EXPECT_EQ(load.Validate(), "");
   EXPECT_LE(load.requests.front().at, load.requests.back().at);
   EXPECT_LE(load.modifications.front().at, load.modifications.back().at);
+
+  // Unsorted, with co-timed events: the sort is stable, so co-timed events
+  // keep their input order (the client ids and sizes tell them apart).
+  Workload cotimed = SmallValidWorkload();
+  const SimTime at = SimTime::Epoch() + Days(3);
+  cotimed.requests = {{at, 0, 7, false}, {at, 1, 8, false}, {SimTime::Epoch(), 0, 9, false},
+                      {at, 0, 6, false}};
+  cotimed.modifications = {{at, 1, 30}, {at, 0, 10}, {SimTime::Epoch() + Days(1), 0, 5},
+                           {at, 1, 20}};
+  cotimed.Finalize();
+  EXPECT_EQ(cotimed.Validate(), "");
+  std::vector<uint32_t> clients;
+  for (const RequestEvent& req : cotimed.requests) {
+    clients.push_back(req.client_id);
+  }
+  EXPECT_EQ(clients, (std::vector<uint32_t>{9, 7, 8, 6}));
+  std::vector<int64_t> sizes;
+  for (const ModificationEvent& m : cotimed.modifications) {
+    sizes.push_back(m.new_size);
+  }
+  EXPECT_EQ(sizes, (std::vector<int64_t>{5, 30, 10, 20}));
 }
 
 TEST(WorkloadTest, DetectsOutOfRangeObjectIndex) {
